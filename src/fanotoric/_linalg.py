@@ -12,21 +12,48 @@ class RankDeficiencyError(ArithmeticError):
     """The coefficient columns are linearly dependent."""
 
 
+def _reduce(
+    rows: Sequence[Row], rhs: Row | None = None
+) -> tuple[list[list[Fraction]], int, Fraction]:
+    """Gauss-Jordan reduction to reduced row echelon form.
+
+    rhs, when given, rides along as an extra column that is never chosen
+    as a pivot.  Returns the reduced rows, the rank and the product of
+    the pivots signed by the row swaps (the determinant when square and
+    of full rank).
+    """
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    a = [[Fraction(x) for x in row] for row in rows]
+    if rhs is not None:
+        for row, y in zip(a, rhs):
+            row.append(Fraction(y))
+    rank = 0
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((i for i in range(rank, m) if a[i][col] != 0), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            a[rank], a[piv] = a[piv], a[rank]
+            det = -det
+        inv = a[rank][col]
+        det *= inv
+        a[rank] = [x / inv for x in a[rank]]
+        for i in range(m):
+            if i != rank and a[i][col] != 0:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return a, rank, det
+
+
 def solve_square(rows: Sequence[Row], rhs: Row) -> tuple[Fraction, ...]:
     """Solve a nonsingular square system by Gauss-Jordan elimination."""
     n = len(rows)
-    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise RankDeficiencyError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        inv = a[col][col]
-        a[col] = [x / inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    a, rank, _ = _reduce(rows, rhs)
+    if rank < n:
+        raise RankDeficiencyError("singular matrix")
     return tuple(a[i][n] for i in range(n))
 
 
@@ -38,70 +65,18 @@ def solve_consistent(rows: Sequence[Row], rhs: Row) -> tuple[Fraction, ...] | No
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
-    a = [[Fraction(x) for x in rows[i]] + [Fraction(rhs[i])] for i in range(m)]
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if a[i][col] != 0), None)
-        if piv is None:
-            raise RankDeficiencyError("dependent columns")
-        a[r], a[piv] = a[piv], a[r]
-        inv = a[r][col]
-        a[r] = [x / inv for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-    for i in range(r, m):
-        if a[i][n] != 0:
-            return None
+    a, rank, _ = _reduce(rows, rhs)
+    if rank < n:
+        raise RankDeficiencyError("dependent columns")
+    if any(a[i][n] != 0 for i in range(n, m)):
+        return None
     return tuple(a[i][n] for i in range(n))
 
 
 def matrix_rank(rows: Sequence[Row]) -> int:
-    m = len(rows)
-    if m == 0:
-        return 0
-    n = len(rows[0])
-    a = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    for col in range(n):
-        piv = next((i for i in range(rank, m) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = a[rank][col]
-        a[rank] = [x / inv for x in a[rank]]
-        for i in range(m):
-            if i != rank and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
-        rank += 1
-    return rank
+    return _reduce(rows)[1]
 
 
 def determinant(rows: Sequence[Row]) -> Fraction:
-    n = len(rows)
-    a = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] / inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det
-
-
-def mat_vec(rows: Sequence[Row], v: Row) -> tuple[Fraction, ...]:
-    return tuple(
-        sum((Fraction(x) * Fraction(y) for x, y in zip(row, v)), Fraction(0))
-        for row in rows
-    )
+    _, rank, det = _reduce(rows)
+    return det if rank == len(rows) else Fraction(0)

@@ -17,7 +17,6 @@ from itertools import product as iter_product
 from pathlib import Path
 from typing import Any
 
-from . import numcheck
 from .errors import DomainError, InputError
 from .fanobundle import (
     TauMap,
@@ -30,7 +29,6 @@ from .rootsys import SimpleType, VectorH, build_root_system
 from .toricfiber import (
     Fan,
     canonical_polytope,
-    is_fano,
     point_fan,
     product,
     projective_space,
@@ -342,11 +340,9 @@ def _fiber_report(fan: Fan) -> dict:
         "complete": diag.complete,
         "effective": diag.effective,
     }
-    if diag.smooth and diag.complete:
-        rep["fano"] = is_fano(fan)
-        rep["polytope_vertices"] = [
-            _vec(v) for v in canonical_polytope(fan).vertices
-        ]
+    if diag.polytope is not None:
+        rep["fano"] = diag.fano
+        rep["polytope_vertices"] = [_vec(v) for v in diag.polytope.vertices]
     return rep
 
 
@@ -363,6 +359,8 @@ def _margins_json(entries) -> list[dict]:
 
 
 def _oracle_report(cfg: Config, fan: Fan, warnings: list[str]) -> dict | None:
+    from . import numcheck  # numpy is loaded only when --oracle asks for it
+
     if cfg.fiber_spec is None or cfg.fiber_spec.get("kind") != "projective_space":
         warnings.append("oracle: comparison available only for projective_space fibers")
         return None
@@ -459,10 +457,7 @@ def _human_lines(report: dict) -> list[str]:
         for entry in s["entries"]:
             label = f"k={entry['k']} " if "k" in entry else ""
             tau_txt = json.dumps(entry["tau"], separators=(",", ":"))
-            if entry["is_fano"] is None:
-                verdict = "n/a (tau not surjective)"
-            else:
-                verdict = "fano" if entry["is_fano"] else "not fano"
+            verdict = "fano" if entry["is_fano"] else "not fano"
             lines.append(f"{label}tau {tau_txt} -> {verdict}")
         c = s["summary"]
         lines.append(
@@ -557,13 +552,6 @@ def cmd_scan(cfg: Config, cap_override: int | None) -> dict:
         raise ConfigError("scan", "missing required field")
     cap = cap_override if cap_override is not None else cfg.scan.get("cap", DEFAULT_SCAN_CAP)
     entries: list[dict] = []
-
-    def run_one(tau: TauMap) -> bool | None:
-        try:
-            return fano_check(flag, fan, tau).is_fano
-        except InputError:
-            return None
-
     if cfg.scan["kind"] == "scale":
         lo, hi = cfg.scan["range"]
         count = max(0, hi - lo + 1)
@@ -578,7 +566,7 @@ def cmd_scan(cfg: Config, cap_override: int | None) -> dict:
                 {
                     "k": k,
                     "tau": [[_rat(x) for x in row] for row in tau.matrix],
-                    "is_fano": run_one(tau),
+                    "is_fano": fano_check(flag, fan, tau).is_fano,
                 }
             )
     else:
@@ -601,14 +589,11 @@ def cmd_scan(cfg: Config, cap_override: int | None) -> dict:
             entries.append(
                 {
                     "tau": [[_rat(x) for x in row] for row in tau.matrix],
-                    "is_fano": run_one(tau),
+                    "is_fano": fano_check(flag, fan, tau).is_fano,
                 }
             )
-    summary = {
-        "fano": sum(1 for e in entries if e["is_fano"] is True),
-        "not_fano": sum(1 for e in entries if e["is_fano"] is False),
-        "skipped": sum(1 for e in entries if e["is_fano"] is None),
-    }
+    fano = sum(1 for e in entries if e["is_fano"])
+    summary = {"fano": fano, "not_fano": len(entries) - fano, "skipped": 0}
     return {
         "config": cfg.echo,
         "scan": {"mode": cfg.scan["kind"], "entries": entries, "summary": summary},
@@ -649,7 +634,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
         return 2
     try:

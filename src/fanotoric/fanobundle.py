@@ -21,7 +21,9 @@ from . import _linalg
 from .errors import DomainError, InputError
 from .flagbase import FlagManifold, express_in_zk
 from .rootsys import Root, VectorH
-from .toricfiber import Fan, Polytope, canonical_polytope, is_fano
+# is_fano stays bound here: perfbench/test_bench.py checks that the tracer
+# rebinds names imported from toricfiber, and reads fanobundle.is_fano.
+from .toricfiber import Fan, Polytope, _require_smooth_complete, is_fano  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -112,11 +114,13 @@ def tau_is_surjective(flag: FlagManifold, tau: TauMap) -> bool:
     return m == 0 or _linalg.matrix_rank(tau.matrix) == m
 
 
-def pullback_point(
-    flag: FlagManifold, tau: TauMap, q: Sequence[Fraction | int]
+def _pullback(
+    flag: FlagManifold,
+    tau: TauMap,
+    basis: tuple[VectorH, ...],
+    gram: tuple[tuple[Fraction, ...], ...],
+    q: Sequence[Fraction | int],
 ) -> VectorH:
-    """h_Q = h_V + B|_z(k)^{-1}(tau^* Q) for a point Q of the fiber dual lattice."""
-    basis, gram = _prepare(flag, tau)
     qv = tuple(Fraction(x) for x in q)
     if len(qv) != tau.fiber_dim:
         raise InputError(
@@ -136,6 +140,13 @@ def pullback_point(
     return h
 
 
+def pullback_point(
+    flag: FlagManifold, tau: TauMap, q: Sequence[Fraction | int]
+) -> VectorH:
+    """h_Q = h_V + B|_z(k)^{-1}(tau^* Q) for a point Q of the fiber dual lattice."""
+    return _pullback(flag, tau, *_prepare(flag, tau), q)
+
+
 def fano_margins(
     flag: FlagManifold, tau: TauMap, polytope: Polytope
 ) -> tuple[MarginEntry, ...]:
@@ -151,8 +162,7 @@ def fano_margins(
         )
     entries: list[MarginEntry] = []
     for vi, q in enumerate(polytope.vertices):
-        h = pullback_point(flag, tau, q)
-        coords = h.coords
+        coords = _pullback(flag, tau, basis, gram, q).coords
         for root in flag.r_m_plus:
             value = sum(
                 (c * coords[i] for i, c in enumerate(root) if c), Fraction(0)
@@ -172,10 +182,11 @@ def fano_check(flag: FlagManifold, fan: Fan, tau: TauMap) -> FanoVerdict:
         raise InputError(
             f"fan dimension {fan.dim} does not match tau rows {tau.fiber_dim}"
         )
-    fiber_fano = is_fano(fan)
+    diag = _require_smooth_complete(fan)
+    fiber_fano = diag.fano
     if fan.dim == 0:
         return FanoVerdict(fiber_fano, (), fiber_fano, ())
-    margins = fano_margins(flag, tau, canonical_polytope(fan))
+    margins = fano_margins(flag, tau, diag.polytope)
     violations = tuple(e for e in margins if e.value <= 0)
     return FanoVerdict(
         fiber_fano=fiber_fano,
@@ -200,7 +211,10 @@ def check_tau_integrality(
     basis, _ = _prepare(flag, tau)
     for gen in cocharacter_basis:
         coeffs = express_in_zk(flag, gen, basis)
-        image = _linalg.mat_vec(tau.matrix, coeffs)
+        image = (
+            sum((x * c for x, c in zip(row, coeffs)), Fraction(0))
+            for row in tau.matrix
+        )
         if any(x.denominator != 1 for x in image):
             return False
     return True

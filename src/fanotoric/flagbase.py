@@ -46,7 +46,6 @@ class FlagManifold:
     r_m_plus: tuple[Root, ...]
     zk_basis_default: tuple[VectorH, ...]
     h_V: VectorH
-    zk_gram: tuple[tuple[Fraction, ...], ...]
 
     @property
     def uncrossed(self) -> tuple[int, ...]:
@@ -88,9 +87,6 @@ def build_flag(rs: RootSystem, painting: Painting) -> FlagManifold:
     assert all(
         h_v.coords[i] == 0 for i in range(rs.rank) if i not in crossed_set
     ), "h_V escaped z(k)"
-    zk_gram = tuple(
-        tuple(rs.killing_form(a, b) for b in basis) for a in basis
-    )
     return FlagManifold(
         rs=rs,
         painting=painting,
@@ -98,7 +94,6 @@ def build_flag(rs: RootSystem, painting: Painting) -> FlagManifold:
         r_m_plus=r_m_plus,
         zk_basis_default=basis,
         h_V=h_v,
-        zk_gram=zk_gram,
     )
 
 

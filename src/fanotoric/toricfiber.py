@@ -70,11 +70,15 @@ class Fan:
 
 @dataclass(frozen=True)
 class FanDiagnostics:
+    """Fan structure; fano and polytope are None unless smooth and complete."""
+
     smooth: bool
     complete: bool
     effective: bool
     non_unimodular_cones: tuple[int, ...]
     facet_defects: int
+    fano: bool | None
+    polytope: Polytope | None
 
 
 @dataclass(frozen=True)
@@ -88,13 +92,6 @@ class Polytope:
 
 def _dot(u: tuple[Fraction, ...], ray: Ray) -> Fraction:
     return sum((x * c for x, c in zip(u, ray) if c), Fraction(0))
-
-
-def _cone_vertex(fan: Fan, cone: Cone) -> tuple[Fraction, ...]:
-    if fan.dim == 0:
-        return ()
-    rows = [fan.rays[i] for i in cone]
-    return _linalg.solve_square(rows, [-1] * fan.dim)
 
 
 def _spans_lattice(fan: Fan) -> bool:
@@ -132,7 +129,13 @@ def _spans_lattice(fan: Fan) -> bool:
 
 
 def validate_fan(fan: Fan) -> FanDiagnostics:
-    """Report smoothness, completeness and effectiveness of a fan."""
+    """Report smoothness, completeness and effectiveness of a fan.
+
+    A smooth complete fan also gets its canonical polytope, one vertex per
+    maximal cone, and its Fano flag: the anticanonical support function is
+    strictly convex when every ray off a cone pairs to more than -1 with
+    that cone's vertex.
+    """
     bad = tuple(
         idx
         for idx, cone in enumerate(fan.max_cones)
@@ -146,16 +149,31 @@ def validate_fan(fan: Fan) -> FanDiagnostics:
                 facet_counts[facet] = facet_counts.get(facet, 0) + 1
     defects = sum(1 for v in facet_counts.values() if v != 2)
     complete = bool(fan.max_cones) and defects == 0
+    fano = polytope = None
+    if not bad and complete:
+        vertices = tuple(
+            _linalg.solve_square([fan.rays[i] for i in cone], [-1] * fan.dim)
+            for cone in fan.max_cones
+        )
+        fano = all(
+            _dot(u, ray) > -1
+            for u, cone in zip(vertices, fan.max_cones)
+            for ridx, ray in enumerate(fan.rays)
+            if ridx not in cone
+        )
+        polytope = Polytope(dim=fan.dim, vertices=vertices, cones=fan.max_cones)
     return FanDiagnostics(
         smooth=not bad,
         complete=complete,
         effective=_spans_lattice(fan),
         non_unimodular_cones=bad,
         facet_defects=defects,
+        fano=fano,
+        polytope=polytope,
     )
 
 
-def _require_smooth_complete(fan: Fan) -> None:
+def _require_smooth_complete(fan: Fan) -> FanDiagnostics:
     diag = validate_fan(fan)
     if not diag.smooth:
         raise DomainError(
@@ -163,18 +181,12 @@ def _require_smooth_complete(fan: Fan) -> None:
         )
     if not diag.complete:
         raise DomainError("fan is not complete")
+    return diag
 
 
 def is_fano(fan: Fan) -> bool:
     """Strict convexity of the anticanonical support function."""
-    _require_smooth_complete(fan)
-    for cone in fan.max_cones:
-        u = _cone_vertex(fan, cone)
-        inside = set(cone)
-        for ridx, ray in enumerate(fan.rays):
-            if ridx not in inside and _dot(u, ray) <= -1:
-                return False
-    return True
+    return _require_smooth_complete(fan).fano
 
 
 def canonical_polytope(fan: Fan) -> Polytope:
@@ -183,12 +195,7 @@ def canonical_polytope(fan: Fan) -> Polytope:
     When the fan is Fano the convex hull equals
     {u : <u, ray> >= -1 for every ray} and contains 0 strictly inside.
     """
-    _require_smooth_complete(fan)
-    return Polytope(
-        dim=fan.dim,
-        vertices=tuple(_cone_vertex(fan, cone) for cone in fan.max_cones),
-        cones=fan.max_cones,
-    )
+    return _require_smooth_complete(fan).polytope
 
 
 def projective_space(m: int) -> Fan:

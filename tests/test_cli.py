@@ -1,6 +1,9 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
+import fanotoric
 from fanotoric.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -158,6 +161,20 @@ def test_scan_empty_range(capsys, tmp_path):
     assert report["scan"]["entries"] == []
 
 
+def test_scan_config_error_exits_2_like_check(capsys, tmp_path):
+    doc = {
+        "base": {"components": [{"letter": "A", "rank": 3}], "crossed": [1, 3]},
+        "zk_basis": [[1, 0, 0], [2, 0, 0]],
+        "fiber": {"kind": "projective_space", "dim": 2},
+        "tau": [[1, 0], [0, 1]],
+        "scan": {"kind": "scale", "range": [0, 5]},
+    }
+    path = write(tmp_path, doc)
+    check = run(capsys, "check", path)
+    scan = run(capsys, "scan", path)
+    assert check == scan == (2, "", "error: declared basis is dependent\n")
+
+
 def test_scan_explosion_guard(capsys, tmp_path):
     doc = hirzebruch_doc(1)
     doc["scan"] = {"kind": "scale", "range": [0, 50]}
@@ -232,6 +249,17 @@ def test_invalid_json(capsys, tmp_path):
     assert "not valid JSON" in err
 
 
+def test_deeply_nested_config_exits_2(capsys, tmp_path):
+    # Built as text: json.dumps would itself exceed the recursion limit.
+    depth = 1200
+    text = '{"fiber": ' + '{"kind": "product", "parts": [' * depth + "]}" * depth + "}"
+    path = tmp_path / "deep.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "polytope", str(path))
+    assert code == 2
+    assert err.startswith("error: config is not valid JSON: ")
+
+
 def test_unknown_fiber_kind(capsys, tmp_path):
     doc = {"fiber": {"kind": "mystery"}}
     code, out, err = run(capsys, "polytope", write(tmp_path, doc))
@@ -243,3 +271,20 @@ def test_degenerate_tau_warns_in_check(capsys, tmp_path):
     report = run_json(capsys, "check", write(tmp_path, hirzebruch_doc(0)))
     assert report["verdict"]["is_fano"] is True
     assert any("surjective" in w for w in report["warnings"])
+
+
+def test_check_without_oracle_leaves_numpy_unloaded():
+    src = str(Path(fanotoric.__file__).resolve().parent.parent)
+    code = (
+        "import sys, fanotoric.cli\n"
+        f"assert fanotoric.cli.main(['check', {str(CONFIGS / 'so20.json')!r}]) == 0\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": src},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
