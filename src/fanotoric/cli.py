@@ -36,6 +36,9 @@ from .toricfiber import (
 )
 
 DEFAULT_SCAN_CAP = 10000
+# Deepest product nesting a fiber may have; deeper configs exit 2 before
+# any recursion over them can reach the interpreter's limit.
+MAX_FIBER_DEPTH = 32
 
 
 class ConfigError(InputError):
@@ -122,14 +125,16 @@ class Config:
         if "base" in doc:
             self._parse_base(_expect_dict(doc["base"], "base"))
         if "zk_basis" in doc:
-            self._parse_basis(doc["zk_basis"], "zk_basis")
+            self.zk_basis = self._parse_basis(doc["zk_basis"], "zk_basis")
         if "fiber" in doc:
             self.fiber_spec = self._parse_fiber(doc["fiber"], "fiber")
             self.echo["fiber"] = self.fiber_spec
         if "tau" in doc:
             self._parse_tau(doc["tau"])
         if "cocharacter_basis" in doc:
-            self._parse_cochar(doc["cocharacter_basis"])
+            self.cocharacter_basis = self._parse_basis(
+                doc["cocharacter_basis"], "cocharacter_basis"
+            )
         if "scan" in doc:
             self._parse_scan(_expect_dict(doc["scan"], "scan"))
 
@@ -177,23 +182,14 @@ class Config:
             "crossed": sorted(i + 1 for i in crossed),
         }
 
-    def _parse_basis(self, value: Any, path: str) -> None:
+    def _parse_basis(self, value: Any, path: str) -> list[VectorH]:
         arr = _expect_list(value, path)
         vectors = [
             _parse_vector(v, f"{path}[{i}]", self.total_rank)
             for i, v in enumerate(arr)
         ]
-        self.zk_basis = vectors
         self.echo[path] = [_vec(v.coords) for v in vectors]
-
-    def _parse_cochar(self, value: Any) -> None:
-        arr = _expect_list(value, "cocharacter_basis")
-        vectors = [
-            _parse_vector(v, f"cocharacter_basis[{i}]", self.total_rank)
-            for i, v in enumerate(arr)
-        ]
-        self.cocharacter_basis = vectors
-        self.echo["cocharacter_basis"] = [_vec(v.coords) for v in vectors]
+        return vectors
 
     def _parse_fiber(self, spec: Any, path: str) -> dict:
         spec = _expect_dict(spec, path)
@@ -233,6 +229,11 @@ class Config:
                 )
             return {"kind": kind, "dim": dim, "rays": rays, "max_cones": cones}
         if kind == "product":
+            # Only product nesting appends ".parts[i]" to the path.
+            if path.count(".parts[") >= MAX_FIBER_DEPTH:
+                raise ConfigError(
+                    path, f"product nesting deeper than {MAX_FIBER_DEPTH} levels"
+                )
             parts = _expect_list(_get(spec, "parts", path), _join(path, "parts"))
             return {
                 "kind": kind,
@@ -551,47 +552,35 @@ def cmd_scan(cfg: Config, cap_override: int | None) -> dict:
     if cfg.scan is None:
         raise ConfigError("scan", "missing required field")
     cap = cap_override if cap_override is not None else cfg.scan.get("cap", DEFAULT_SCAN_CAP)
-    entries: list[dict] = []
     if cfg.scan["kind"] == "scale":
         lo, hi = cfg.scan["range"]
         count = max(0, hi - lo + 1)
-        if count > cap:
-            raise InputError(
-                f"scan would enumerate {count} instances, over the cap {cap}; "
-                f"raise it with --max"
-            )
-        for k in range(lo, hi + 1):
-            tau = base_tau.scaled(k)
-            entries.append(
-                {
-                    "k": k,
-                    "tau": [[_rat(x) for x in row] for row in tau.matrix],
-                    "is_fano": fano_check(flag, fan, tau).is_fano,
-                }
-            )
+        family = (({"k": k}, base_tau.scaled(k).matrix) for k in range(lo, hi + 1))
     else:
         bound = cfg.scan["bound"]
         m = fan.dim
         k_dim = len(base_tau.matrix[0]) if base_tau.matrix else 0
         cells = m * k_dim
         count = (2 * bound + 1) ** cells if cells else 1
-        if count > cap:
-            raise InputError(
-                f"scan would enumerate {count} instances, over the cap {cap}; "
-                f"raise it with --max"
-            )
-        for flat in iter_product(range(-bound, bound + 1), repeat=cells):
-            rows = tuple(
-                tuple(Fraction(x) for x in flat[i * k_dim : (i + 1) * k_dim])
-                for i in range(m)
-            )
-            tau = TauMap(rows, base_tau.basis)
-            entries.append(
-                {
-                    "tau": [[_rat(x) for x in row] for row in tau.matrix],
-                    "is_fano": fano_check(flag, fan, tau).is_fano,
-                }
-            )
+        family = (
+            ({}, [flat[i * k_dim : (i + 1) * k_dim] for i in range(m)])
+            for flat in iter_product(range(-bound, bound + 1), repeat=cells)
+        )
+    if count > cap:
+        raise InputError(
+            f"scan would enumerate {count} instances, over the cap {cap}; "
+            f"raise it with --max"
+        )
+    entries = []
+    for label, rows in family:
+        tau = TauMap(rows, base_tau.basis)
+        entries.append(
+            {
+                **label,
+                "tau": [[_rat(x) for x in row] for row in tau.matrix],
+                "is_fano": fano_check(flag, fan, tau).is_fano,
+            }
+        )
     fano = sum(1 for e in entries if e["is_fano"])
     summary = {"fano": fano, "not_fano": len(entries) - fano, "skipped": 0}
     return {
@@ -644,11 +633,9 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "polytope":
             report = cmd_polytope(cfg, args.oracle)
         elif args.command == "flag-info":
+            report = cmd_flag_info(cfg)
             if args.oracle:
-                report = cmd_flag_info(cfg)
                 report["warnings"].append("oracle: not applicable to flag-info")
-            else:
-                report = cmd_flag_info(cfg)
         else:
             report = cmd_scan(cfg, args.max)
             if args.oracle:

@@ -9,6 +9,11 @@ alpha(h_Q) is strictly positive, where alpha runs over the complementary
 positive roots, Q over the canonical polytope vertices, and
 h_Q = h_V + B|_z(k)^{-1}(tau^* Q).  A margin of exactly zero means the
 bundle is not Fano.
+
+Q -> h_Q is affine and lands in z(k), where every uncrossed coordinate
+vanishes.  So it is held as one k x m pullback matrix over the crossed
+coordinates, from one Gram solve per row of tau, and each margin pairs a
+root with the k crossed coordinates of h_Q only.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from typing import Sequence
 
 from . import _linalg
 from .errors import DomainError, InputError
-from .flagbase import FlagManifold, express_in_zk
+from .flagbase import FlagManifold, chamber_margins, express_in_zk
 from .rootsys import Root, VectorH
 # is_fano stays bound here: perfbench/test_bench.py checks that the tracer
 # rebinds names imported from toricfiber, and reads fanobundle.is_fano.
@@ -76,7 +81,14 @@ class FanoVerdict:
 def _prepare(
     flag: FlagManifold, tau: TauMap
 ) -> tuple[tuple[VectorH, ...], tuple[tuple[Fraction, ...], ...]]:
-    """Resolve and validate the declared basis; return it with its Gram matrix."""
+    """Resolve and validate the declared basis; return it with the pullback matrix.
+
+    h_Q - h_V is the element sum_j c_j b_j of z(k) with G c = tau^T Q, G
+    the Gram matrix of the basis.  It vanishes on the uncrossed nodes, so
+    its crossed coordinates carry it, and they are linear in Q: row x of
+    the k x m pullback matrix maps Q to crossed coordinate x.  Column i is
+    the crossed coordinates of G^{-1} tau_i, one Gram solve per row of tau.
+    """
     k = len(flag.painting.crossed)
     basis = tau.basis if tau.basis is not None else flag.zk_basis_default
     if len(basis) != k:
@@ -90,15 +102,16 @@ def _prepare(
         raise InputError(
             f"tau matrix has {len(tau.matrix[0])} columns, expected {k}"
         )
-    if k:
-        crossed = flag.painting.crossed
-        cols = [[b.coords[i] for b in basis] for i in crossed]
-        if _linalg.matrix_rank(cols) != k:
-            raise InputError("declared basis is dependent")
-    gram = tuple(
-        tuple(flag.rs.killing_form(a, b) for b in basis) for a in basis
+    rows = [[b.coords[i] for b in basis] for i in flag.painting.crossed]
+    if k and _linalg.matrix_rank(rows) != k:
+        raise InputError("declared basis is dependent")
+    gram = [[flag.rs.killing_form(a, b) for b in basis] for a in basis]
+    solved = [_linalg.solve_square(gram, row) for row in tau.matrix]
+    pull = tuple(
+        tuple(sum((b * c for b, c in zip(row, y)), Fraction(0)) for y in solved)
+        for row in rows
     )
-    return tuple(basis), gram
+    return tuple(basis), pull
 
 
 def tau_is_surjective(flag: FlagManifold, tau: TauMap) -> bool:
@@ -117,8 +130,7 @@ def tau_is_surjective(flag: FlagManifold, tau: TauMap) -> bool:
 def _pullback(
     flag: FlagManifold,
     tau: TauMap,
-    basis: tuple[VectorH, ...],
-    gram: tuple[tuple[Fraction, ...], ...],
+    pull: tuple[tuple[Fraction, ...], ...],
     q: Sequence[Fraction | int],
 ) -> VectorH:
     qv = tuple(Fraction(x) for x in q)
@@ -126,25 +138,17 @@ def _pullback(
         raise InputError(
             f"point has length {len(qv)}, fiber dimension is {tau.fiber_dim}"
         )
-    h = flag.h_V
-    if not basis:
-        return h
-    pulled = tuple(
-        sum((qi * tau.matrix[i][j] for i, qi in enumerate(qv)), Fraction(0))
-        for j in range(len(basis))
-    )
-    coeffs = _linalg.solve_square(gram, pulled)
-    for c, b in zip(coeffs, basis):
-        if c:
-            h = h + c * b
-    return h
+    coords = list(flag.h_V.coords)
+    for i, row in zip(flag.painting.crossed, pull):
+        coords[i] += sum((p * x for p, x in zip(row, qv)), Fraction(0))
+    return VectorH(tuple(coords))
 
 
 def pullback_point(
     flag: FlagManifold, tau: TauMap, q: Sequence[Fraction | int]
 ) -> VectorH:
     """h_Q = h_V + B|_z(k)^{-1}(tau^* Q) for a point Q of the fiber dual lattice."""
-    return _pullback(flag, tau, *_prepare(flag, tau), q)
+    return _pullback(flag, tau, _prepare(flag, tau)[1], q)
 
 
 def fano_margins(
@@ -155,20 +159,16 @@ def fano_margins(
     Entries are ordered by vertex index, then by the lexicographic root
     order of R_m+.
     """
-    basis, gram = _prepare(flag, tau)
+    _, pull = _prepare(flag, tau)
     if polytope.dim != tau.fiber_dim:
         raise InputError(
             f"polytope dimension {polytope.dim} does not match tau rows {tau.fiber_dim}"
         )
-    entries: list[MarginEntry] = []
-    for vi, q in enumerate(polytope.vertices):
-        coords = _pullback(flag, tau, basis, gram, q).coords
-        for root in flag.r_m_plus:
-            value = sum(
-                (c * coords[i] for i, c in enumerate(root) if c), Fraction(0)
-            )
-            entries.append(MarginEntry(vi, q, root, value))
-    return tuple(entries)
+    return tuple(
+        MarginEntry(vi, q, root, value)
+        for vi, q in enumerate(polytope.vertices)
+        for root, value in chamber_margins(flag, _pullback(flag, tau, pull, q))
+    )
 
 
 def fano_check(flag: FlagManifold, fan: Fan, tau: TauMap) -> FanoVerdict:

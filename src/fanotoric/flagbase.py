@@ -103,13 +103,15 @@ def chamber_margins(
     """Evaluations alpha(h) for every alpha in R_m+, in root order.
 
     h must lie in z(k); membership in the chamber means every returned
-    value is strictly positive.
+    value is strictly positive.  h vanishes on the uncrossed nodes, so
+    only the crossed coordinates pair.
     """
     if not flag.in_zk(h):
         raise DomainError("h is not in z(k): nonzero evaluation on an uncrossed node")
     coords = h.coords
+    crossed = flag.painting.crossed
     return tuple(
-        (root, sum((c * coords[i] for i, c in enumerate(root) if c), Fraction(0)))
+        (root, sum((root[i] * coords[i] for i in crossed if root[i]), Fraction(0)))
         for root in flag.r_m_plus
     )
 

@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import fanotoric
+from fanotoric import cli
 from fanotoric.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -288,3 +289,35 @@ def test_check_without_oracle_leaves_numpy_unloaded():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def nested_product_doc(depth):
+    spec = {"kind": "projective_space", "dim": 1}
+    for _ in range(depth):
+        spec = {"kind": "product", "parts": [spec]}
+    return {"fiber": spec}
+
+
+def test_fiber_nesting_limit_names_the_path(capsys, tmp_path):
+    limit = cli.MAX_FIBER_DEPTH
+    code, out, err = run(capsys, "polytope", write(tmp_path, nested_product_doc(limit)))
+    assert code == 0, err
+    code, out, err = run(
+        capsys, "polytope", write(tmp_path, nested_product_doc(limit + 1))
+    )
+    assert code == 2
+    assert err.startswith("error: fiber" + ".parts[0]" * limit + ": ")
+
+
+def test_deep_product_fibers_exit_2_through_main(capsys, tmp_path):
+    # Depths on both sides of what json.loads can parse: each must exit 2,
+    # by the nesting limit or as invalid JSON, never with a traceback.
+    path = tmp_path / "deep.json"
+    for depth in range(400, 521):
+        text = '{"fiber": ' + '{"kind": "product", "parts": [' * depth + "]}" * depth + "}"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "polytope", str(path))
+        assert code == 2, depth
+        assert err.startswith(
+            ("error: fiber.parts[0].parts[0]", "error: config is not valid JSON: ")
+        ), depth

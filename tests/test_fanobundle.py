@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 import support
@@ -9,6 +12,7 @@ from fanotoric import (
     DomainError,
     InputError,
     Painting,
+    Polytope,
     SimpleType,
     TauMap,
     VectorH,
@@ -264,3 +268,70 @@ def test_declared_basis_validation():
 def test_inconsistent_tau_rows_rejected():
     with pytest.raises(InputError):
         TauMap(((F(1), F(2)), (F(3),)))
+
+
+@lru_cache(maxsize=None)
+def _root_system(letter, rank):
+    return build_root_system([SimpleType(letter, rank)])
+
+
+def _unimodular(data, k):
+    """A random integer k x k matrix of determinant +-1, by elementary steps."""
+    u = [[int(i == j) for j in range(k)] for i in range(k)]
+    for _ in range(data.draw(st.integers(0, 4))):
+        i = data.draw(st.integers(0, k - 1))
+        j = data.draw(st.integers(0, k - 1))
+        if i == j:
+            u[i] = [-x for x in u[i]]
+        else:
+            c = data.draw(st.integers(-2, 2))
+            u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+    return u
+
+
+RATIONAL = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.sampled_from([("A", 4), ("B", 3), ("C", 3), ("D", 4), ("G", 2), ("F", 4)]),
+    st.data(),
+)
+def test_pullback_against_killing_form_oracle(base, data):
+    rs = _root_system(*base)
+    crossed = data.draw(
+        st.lists(st.integers(0, rs.rank - 1), min_size=1, max_size=2, unique=True)
+    )
+    flag = build_flag(rs, Painting(tuple(crossed)))
+    k = len(flag.painting.crossed)
+    u = _unimodular(data, k)
+    default = flag.zk_basis_default
+    basis = tuple(
+        sum((u[a][j] * default[a] for a in range(k)), VectorH.zero(rs.rank))
+        for j in range(k)
+    )
+    m = data.draw(st.integers(1, 3))
+    matrix = data.draw(
+        st.lists(
+            st.lists(st.integers(-4, 4), min_size=k, max_size=k),
+            min_size=m,
+            max_size=m,
+        )
+    )
+    tau = TauMap(tuple(tuple(row) for row in matrix), basis)
+    points = data.draw(
+        st.lists(st.lists(RATIONAL, min_size=m, max_size=m), min_size=1, max_size=3)
+    )
+    for q in points:
+        h = pullback_point(flag, tau, q)
+        assert flag.in_zk(h)
+        shift = h + (-1) * flag.h_V
+        for j, b in enumerate(basis):
+            pulled = sum((q[i] * tau.matrix[i][j] for i in range(m)), F(0))
+            assert rs.killing_form(shift, b) == pulled
+    vertices = tuple(tuple(q) for q in points)
+    entries = fano_margins(flag, tau, Polytope(m, vertices, ()))
+    assert len(entries) == len(vertices) * len(flag.r_m_plus)
+    for e in entries:
+        coords = pullback_point(flag, tau, e.vertex).coords
+        assert e.value == sum(c * x for c, x in zip(e.root, coords))
