@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from itertools import product as iter_product
+from itertools import product as iter_product, tee
 from pathlib import Path
 from typing import Any
 
@@ -22,13 +22,15 @@ from .fanobundle import (
     TauMap,
     check_tau_integrality,
     fano_check,
+    fano_scan,
     tau_is_surjective,
 )
 from .flagbase import FlagManifold, Painting, build_flag, chamber_margins
 from .rootsys import SimpleType, VectorH, build_root_system
 from .toricfiber import (
     Fan,
-    canonical_polytope,
+    FanDiagnostics,
+    Polytope,
     point_fan,
     product,
     projective_space,
@@ -283,7 +285,9 @@ class Config:
         self.echo["scan"] = out
 
 
-def _build_fan(spec: dict, path: str) -> Fan:
+def _build_fan(spec: dict | None, path: str) -> Fan:
+    if spec is None:
+        raise ConfigError(path, "missing required field")
     try:
         if spec["kind"] == "projective_space":
             return projective_space(spec["dim"])
@@ -333,8 +337,7 @@ def _flag_report(flag: FlagManifold) -> dict:
     }
 
 
-def _fiber_report(fan: Fan) -> dict:
-    diag = validate_fan(fan)
+def _fiber_report(fan: Fan, diag: FanDiagnostics) -> dict:
     rep: dict = {
         "dim": fan.dim,
         "smooth": diag.smooth,
@@ -359,14 +362,15 @@ def _margins_json(entries) -> list[dict]:
     ]
 
 
-def _oracle_report(cfg: Config, fan: Fan, warnings: list[str]) -> dict | None:
+def _oracle_report(
+    cfg: Config, fan: Fan, poly: Polytope, warnings: list[str]
+) -> dict | None:
     from . import numcheck  # numpy is loaded only when --oracle asks for it
 
     if cfg.fiber_spec is None or cfg.fiber_spec.get("kind") != "projective_space":
         warnings.append("oracle: comparison available only for projective_space fibers")
         return None
     m = fan.dim
-    poly = canonical_polytope(fan)
     exact_match = all(
         tuple(numcheck.fixed_point_delta(m, i).values) == poly.vertices[i]
         for i in range(m + 1)
@@ -403,6 +407,11 @@ def _oracle_report(cfg: Config, fan: Fan, warnings: list[str]) -> dict | None:
     }
 
 
+def _margin_line(e: dict) -> str:
+    vertex = ", ".join(e["vertex"])
+    return f"  vertex {e['vertex_index']} [{vertex}] root {e['root']} -> {e['value']}"
+
+
 def _human_lines(report: dict) -> list[str]:
     lines = ["== config =="]
     lines.append(json.dumps(report["config"], sort_keys=True))
@@ -432,20 +441,10 @@ def _human_lines(report: dict) -> list[str]:
         lines.append(f"fiber fano: {'yes' if v['fiber_fano'] else 'no'}")
         lines.append(f"is fano: {'yes' if v['is_fano'] else 'no'}")
         lines.append("margins:")
-        if not report["margins"]:
-            lines.append("  (none)")
-        for e in report["margins"]:
-            lines.append(
-                f"  vertex {e['vertex_index']} [{', '.join(e['vertex'])}] "
-                f"root {e['root']} -> {e['value']}"
-            )
+        lines.extend([_margin_line(e) for e in report["margins"]] or ["  (none)"])
         if report["violations"]:
             lines.append("violations:")
-            for e in report["violations"]:
-                lines.append(
-                    f"  vertex {e['vertex_index']} [{', '.join(e['vertex'])}] "
-                    f"root {e['root']} -> {e['value']}"
-                )
+            lines.extend(_margin_line(e) for e in report["violations"])
         else:
             lines.append("violations: (none)")
         if "tau_integrality" in report:
@@ -487,8 +486,6 @@ def _human_lines(report: dict) -> list[str]:
 
 def cmd_check(cfg: Config, oracle: bool) -> dict:
     flag = _build_flag(cfg)
-    if cfg.fiber_spec is None:
-        raise ConfigError("fiber", "missing required field")
     fan = _build_fan(cfg.fiber_spec, "fiber")
     tau = _build_tau(cfg)
     warnings: list[str] = []
@@ -497,7 +494,7 @@ def cmd_check(cfg: Config, oracle: bool) -> dict:
     report = {
         "config": cfg.echo,
         "flag": _flag_report(flag),
-        "fiber": _fiber_report(fan),
+        "fiber": _fiber_report(fan, verdict.fiber),
         "verdict": {
             "fiber_fano": verdict.fiber_fano,
             "is_fano": verdict.is_fano,
@@ -515,23 +512,22 @@ def cmd_check(cfg: Config, oracle: bool) -> dict:
             "the bundle degenerates to a product"
         )
     if oracle:
-        report["oracle"] = _oracle_report(cfg, fan, warnings)
+        report["oracle"] = _oracle_report(cfg, fan, verdict.fiber.polytope, warnings)
     return report
 
 
 def cmd_polytope(cfg: Config, oracle: bool) -> dict:
-    if cfg.fiber_spec is None:
-        raise ConfigError("fiber", "missing required field")
     fan = _build_fan(cfg.fiber_spec, "fiber")
     warnings: list[str] = []
-    fiber = _fiber_report(fan)
-    if "fano" not in fiber:
+    diag = validate_fan(fan)
+    if diag.polytope is None:
         raise DomainError("fan is not smooth and complete; no canonical polytope")
-    if not fiber["fano"]:
+    if not diag.fano:
         warnings.append("fan is not Fano")
+    fiber = _fiber_report(fan, diag)
     report = {"config": cfg.echo, "fiber": fiber, "warnings": warnings}
     if oracle:
-        report["oracle"] = _oracle_report(cfg, fan, warnings)
+        report["oracle"] = _oracle_report(cfg, fan, diag.polytope, warnings)
     return report
 
 
@@ -545,8 +541,6 @@ def cmd_flag_info(cfg: Config) -> dict:
 
 def cmd_scan(cfg: Config, cap_override: int | None) -> dict:
     flag = _build_flag(cfg)
-    if cfg.fiber_spec is None:
-        raise ConfigError("fiber", "missing required field")
     fan = _build_fan(cfg.fiber_spec, "fiber")
     base_tau = _build_tau(cfg)
     if cfg.scan is None:
@@ -558,29 +552,24 @@ def cmd_scan(cfg: Config, cap_override: int | None) -> dict:
         family = (({"k": k}, base_tau.scaled(k).matrix) for k in range(lo, hi + 1))
     else:
         bound = cfg.scan["bound"]
-        m = fan.dim
         k_dim = len(base_tau.matrix[0]) if base_tau.matrix else 0
-        cells = m * k_dim
-        count = (2 * bound + 1) ** cells if cells else 1
+        count = (2 * bound + 1) ** (fan.dim * k_dim)
         family = (
-            ({}, [flat[i * k_dim : (i + 1) * k_dim] for i in range(m)])
-            for flat in iter_product(range(-bound, bound + 1), repeat=cells)
+            ({}, [flat[i * k_dim : (i + 1) * k_dim] for i in range(fan.dim)])
+            for flat in iter_product(range(-bound, bound + 1), repeat=fan.dim * k_dim)
         )
+    # fano_scan validates the config now; no tau is built before the cap check.
+    labelled, matrices = tee(family)
+    verdicts = fano_scan(flag, fan, base_tau, (rows for _, rows in matrices))
     if count > cap:
         raise InputError(
             f"scan would enumerate {count} instances, over the cap {cap}; "
             f"raise it with --max"
         )
-    entries = []
-    for label, rows in family:
-        tau = TauMap(rows, base_tau.basis)
-        entries.append(
-            {
-                **label,
-                "tau": [[_rat(x) for x in row] for row in tau.matrix],
-                "is_fano": fano_check(flag, fan, tau).is_fano,
-            }
-        )
+    entries = [
+        {**label, "tau": [_vec(row) for row in rows], "is_fano": verdict.is_fano}
+        for (label, rows), verdict in zip(labelled, verdicts)
+    ]
     fano = sum(1 for e in entries if e["is_fano"])
     summary = {"fano": fano, "not_fano": len(entries) - fano, "skipped": 0}
     return {

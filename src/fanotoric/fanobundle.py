@@ -14,13 +14,16 @@ Q -> h_Q is affine and lands in z(k), where every uncrossed coordinate
 vanishes.  So it is held as one k x m pullback matrix over the crossed
 coordinates, from one Gram solve per row of tau, and each margin pairs a
 root with the k crossed coordinates of h_Q only.
+
+fano_scan is the one verdict path: one validation and one fiber pass, then
+one verdict per tau matrix.  fano_check is its one-matrix case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import _linalg
 from .errors import DomainError, InputError
@@ -28,7 +31,8 @@ from .flagbase import FlagManifold, chamber_margins, express_in_zk
 from .rootsys import Root, VectorH
 # is_fano stays bound here: perfbench/test_bench.py checks that the tracer
 # rebinds names imported from toricfiber, and reads fanobundle.is_fano.
-from .toricfiber import Fan, Polytope, _require_smooth_complete, is_fano  # noqa: F401
+from .toricfiber import Fan, FanDiagnostics, Polytope, _require_smooth_complete
+from .toricfiber import is_fano  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -76,19 +80,11 @@ class FanoVerdict:
     margins: tuple[MarginEntry, ...]
     is_fano: bool
     violations: tuple[MarginEntry, ...]
+    fiber: FanDiagnostics
 
 
-def _prepare(
-    flag: FlagManifold, tau: TauMap
-) -> tuple[tuple[VectorH, ...], tuple[tuple[Fraction, ...], ...]]:
-    """Resolve and validate the declared basis; return it with the pullback matrix.
-
-    h_Q - h_V is the element sum_j c_j b_j of z(k) with G c = tau^T Q, G
-    the Gram matrix of the basis.  It vanishes on the uncrossed nodes, so
-    its crossed coordinates carry it, and they are linear in Q: row x of
-    the k x m pullback matrix maps Q to crossed coordinate x.  Column i is
-    the crossed coordinates of G^{-1} tau_i, one Gram solve per row of tau.
-    """
+def _basis(flag: FlagManifold, tau: TauMap) -> tuple[VectorH, ...]:
+    """Resolve the declared z(k) basis of tau and check it against the flag."""
     k = len(flag.painting.crossed)
     basis = tau.basis if tau.basis is not None else flag.zk_basis_default
     if len(basis) != k:
@@ -105,13 +101,38 @@ def _prepare(
     rows = [[b.coords[i] for b in basis] for i in flag.painting.crossed]
     if k and _linalg.matrix_rank(rows) != k:
         raise InputError("declared basis is dependent")
+    return tuple(basis)
+
+
+def _pullback(flag: FlagManifold, tau: TauMap) -> Callable[[Sequence], VectorH]:
+    """Q -> h_Q for tau, whose basis _basis checks first.
+
+    h_Q - h_V is the element sum_j c_j b_j of z(k) with G c = tau^T Q, G
+    the Gram matrix of the basis.  It vanishes on the uncrossed nodes, so
+    its crossed coordinates carry it, and they are linear in Q: row x of
+    the k x m pullback matrix maps Q to crossed coordinate x.  Column i is
+    the crossed coordinates of G^{-1} tau_i, one Gram solve per row of tau.
+    """
+    basis = _basis(flag, tau)
     gram = [[flag.rs.killing_form(a, b) for b in basis] for a in basis]
-    solved = [_linalg.solve_square(gram, row) for row in tau.matrix]
-    pull = tuple(
-        tuple(sum((b * c for b, c in zip(row, y)), Fraction(0)) for y in solved)
-        for row in rows
-    )
-    return tuple(basis), pull
+    ys = [_linalg.solve_square(gram, row) for row in tau.matrix]
+    pull = [
+        [sum((b.coords[i] * c for b, c in zip(basis, y)), Fraction(0)) for y in ys]
+        for i in flag.painting.crossed
+    ]
+
+    def h(q: Sequence[Fraction | int]) -> VectorH:
+        qv = tuple(Fraction(x) for x in q)
+        if len(qv) != tau.fiber_dim:
+            raise InputError(
+                f"point has length {len(qv)}, fiber dimension is {tau.fiber_dim}"
+            )
+        coords = list(flag.h_V.coords)
+        for i, row in zip(flag.painting.crossed, pull):
+            coords[i] += sum((p * x for p, x in zip(row, qv)), Fraction(0))
+        return VectorH(tuple(coords))
+
+    return h
 
 
 def tau_is_surjective(flag: FlagManifold, tau: TauMap) -> bool:
@@ -122,33 +143,16 @@ def tau_is_surjective(flag: FlagManifold, tau: TauMap) -> bool:
     bundles (the tau = 0 case reduces to the fiber and the flag being
     Fano separately).
     """
-    _prepare(flag, tau)
+    _basis(flag, tau)
     m = tau.fiber_dim
     return m == 0 or _linalg.matrix_rank(tau.matrix) == m
-
-
-def _pullback(
-    flag: FlagManifold,
-    tau: TauMap,
-    pull: tuple[tuple[Fraction, ...], ...],
-    q: Sequence[Fraction | int],
-) -> VectorH:
-    qv = tuple(Fraction(x) for x in q)
-    if len(qv) != tau.fiber_dim:
-        raise InputError(
-            f"point has length {len(qv)}, fiber dimension is {tau.fiber_dim}"
-        )
-    coords = list(flag.h_V.coords)
-    for i, row in zip(flag.painting.crossed, pull):
-        coords[i] += sum((p * x for p, x in zip(row, qv)), Fraction(0))
-    return VectorH(tuple(coords))
 
 
 def pullback_point(
     flag: FlagManifold, tau: TauMap, q: Sequence[Fraction | int]
 ) -> VectorH:
     """h_Q = h_V + B|_z(k)^{-1}(tau^* Q) for a point Q of the fiber dual lattice."""
-    return _pullback(flag, tau, _prepare(flag, tau)[1], q)
+    return _pullback(flag, tau)(q)
 
 
 def fano_margins(
@@ -159,7 +163,7 @@ def fano_margins(
     Entries are ordered by vertex index, then by the lexicographic root
     order of R_m+.
     """
-    _, pull = _prepare(flag, tau)
+    pull = _pullback(flag, tau)
     if polytope.dim != tau.fiber_dim:
         raise InputError(
             f"polytope dimension {polytope.dim} does not match tau rows {tau.fiber_dim}"
@@ -167,33 +171,39 @@ def fano_margins(
     return tuple(
         MarginEntry(vi, q, root, value)
         for vi, q in enumerate(polytope.vertices)
-        for root, value in chamber_margins(flag, _pullback(flag, tau, pull, q))
+        for root, value in chamber_margins(flag, pull(q))
     )
 
 
-def fano_check(flag: FlagManifold, fan: Fan, tau: TauMap) -> FanoVerdict:
-    """Decide positivity of the first Chern class of the bundle.
+def fano_scan(
+    flag: FlagManifold, fan: Fan, tau: TauMap, matrices: Iterable[Sequence]
+) -> Iterator[FanoVerdict]:
+    """Decide positivity of the first Chern class for each tau matrix in turn.
 
-    A fiber of dimension 0 (point fan) leaves the flag manifold itself,
-    which is always Fano; the margin table is then empty.
+    flag, fan and tau are validated at the call, with one fiber pass; the
+    verdicts follow lazily, one per matrix against tau.basis.  A point fan
+    leaves the flag manifold itself, always Fano, with no margins.
     """
-    _prepare(flag, tau)
+    _basis(flag, tau)
     if fan.dim != tau.fiber_dim:
         raise InputError(
             f"fan dimension {fan.dim} does not match tau rows {tau.fiber_dim}"
         )
     diag = _require_smooth_complete(fan)
-    fiber_fano = diag.fano
-    if fan.dim == 0:
-        return FanoVerdict(fiber_fano, (), fiber_fano, ())
-    margins = fano_margins(flag, tau, diag.polytope)
-    violations = tuple(e for e in margins if e.value <= 0)
-    return FanoVerdict(
-        fiber_fano=fiber_fano,
-        margins=margins,
-        is_fano=fiber_fano and not violations,
-        violations=violations,
-    )
+
+    def verdicts() -> Iterator[FanoVerdict]:
+        for matrix in matrices:
+            each = TauMap(matrix, tau.basis)
+            margins = fano_margins(flag, each, diag.polytope) if fan.dim else ()
+            bad = tuple(e for e in margins if e.value <= 0)
+            yield FanoVerdict(diag.fano, margins, diag.fano and not bad, bad, diag)
+
+    return verdicts()
+
+
+def fano_check(flag: FlagManifold, fan: Fan, tau: TauMap) -> FanoVerdict:
+    """Decide positivity of the first Chern class of the bundle (see fano_scan)."""
+    return next(fano_scan(flag, fan, tau, (tau.matrix,)))
 
 
 def check_tau_integrality(
@@ -208,7 +218,7 @@ def check_tau_integrality(
     """
     if cocharacter_basis is None:
         return None
-    basis, _ = _prepare(flag, tau)
+    basis = _basis(flag, tau)
     for gen in cocharacter_basis:
         coeffs = express_in_zk(flag, gen, basis)
         image = (

@@ -1,7 +1,10 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
+
+import pytest
 
 import fanotoric
 from fanotoric import cli
@@ -162,18 +165,65 @@ def test_scan_empty_range(capsys, tmp_path):
     assert report["scan"]["entries"] == []
 
 
-def test_scan_config_error_exits_2_like_check(capsys, tmp_path):
-    doc = {
+def a3_p2_doc(scan):
+    return {
         "base": {"components": [{"letter": "A", "rank": 3}], "crossed": [1, 3]},
-        "zk_basis": [[1, 0, 0], [2, 0, 0]],
         "fiber": {"kind": "projective_space", "dim": 2},
         "tau": [[1, 0], [0, 1]],
-        "scan": {"kind": "scale", "range": [0, 5]},
+        "scan": scan,
     }
-    path = write(tmp_path, doc)
+
+
+DEPENDENT = {"zk_basis": [[1, 0, 0], [2, 0, 0]]}
+EMPTY_RANGE = {"scan": {"kind": "scale", "range": [3, 1]}}
+ONE_ROW = {"tau": [[1, 0]]}
+NON_SMOOTH = {
+    "kind": "fan",
+    "rays": [[1, 0], [0, 1], [-1, -2]],
+    "max_cones": [[0, 1], [1, 2], [2, 0]],
+}
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        pytest.param(
+            {**DEPENDENT, "scan": {"kind": "scale", "range": [0, 5]}},
+            "declared basis is dependent",
+            id="dependent-basis",
+        ),
+        pytest.param(
+            {**DEPENDENT, **EMPTY_RANGE},
+            "declared basis is dependent",
+            id="dependent-basis-empty-range",
+        ),
+        pytest.param(
+            {"tau": [[1, 0, 0], [0, 1, 0]], **EMPTY_RANGE},
+            "tau matrix has 3 columns, expected 2",
+            id="tau-width-empty-range",
+        ),
+        pytest.param(
+            {"fiber": NON_SMOOTH, **EMPTY_RANGE},
+            "fan is not smooth: non-unimodular cones (2,)",
+            id="non-smooth-fiber-empty-range",
+        ),
+        pytest.param(
+            {**ONE_ROW, "scan": {"kind": "box", "bound": 1}},
+            "fan dimension 2 does not match tau rows 1",
+            id="tau-rows-box",
+        ),
+        pytest.param(
+            {**ONE_ROW, "scan": {"kind": "scale", "range": [0, 2]}},
+            "fan dimension 2 does not match tau rows 1",
+            id="tau-rows-scale",
+        ),
+    ],
+)
+def test_scan_config_error_exits_2_like_check(capsys, tmp_path, change, message):
+    path = write(tmp_path, {**a3_p2_doc(None), **change})
     check = run(capsys, "check", path)
     scan = run(capsys, "scan", path)
-    assert check == scan == (2, "", "error: declared basis is dependent\n")
+    assert check == scan == (2, "", f"error: {message}\n")
 
 
 def test_scan_explosion_guard(capsys, tmp_path):
@@ -182,6 +232,16 @@ def test_scan_explosion_guard(capsys, tmp_path):
     code, out, err = run(capsys, "scan", write(tmp_path, doc), "--max", "10")
     assert code == 2
     assert "cap" in err
+    # 121^4 (about 2.1e8) box matrices: refused before any is enumerated.
+    start = time.perf_counter()
+    path = write(tmp_path, a3_p2_doc({"kind": "box", "bound": 60}))
+    code, out, err = run(capsys, "scan", path)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: scan would enumerate 214358881 instances, over the cap 10000; "
+        "raise it with --max\n"
+    )
+    assert time.perf_counter() - start < 5.0
 
 
 def test_oracle_flag(capsys):

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 from functools import lru_cache
+from itertools import product as iter_product
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ import oracles
 import support
 from fanotoric import (
     DomainError,
+    Fan,
     InputError,
     Painting,
     Polytope,
@@ -28,6 +30,8 @@ from fanotoric import (
     pullback_point,
     tau_is_surjective,
 )
+from fanotoric import toricfiber
+from fanotoric.fanobundle import fano_scan
 
 
 def test_hirzebruch_pullback_values():
@@ -268,6 +272,81 @@ def test_declared_basis_validation():
 def test_inconsistent_tau_rows_rejected():
     with pytest.raises(InputError):
         TauMap(((F(1), F(2)), (F(3),)))
+
+
+def _bound_1_box(tau):
+    rows, cols = tau.fiber_dim, len(tau.matrix[0])
+    return [
+        tuple(flat[i * cols : (i + 1) * cols] for i in range(rows))
+        for flat in iter_product((-1, 0, 1), repeat=rows * cols)
+    ]
+
+
+def _hirzebruch_p1():
+    return support.hirzebruch_flag(), projective_space(1), support.hirzebruch_tau(1)
+
+
+def _so8_p2():
+    flag, tau = support.so4n_flag_tau(2)
+    return flag, projective_space(2), tau
+
+
+@pytest.mark.parametrize("bundle", [_hirzebruch_p1, _so8_p2])
+def test_fano_scan_matches_fano_check_per_matrix(monkeypatch, bundle):
+    flag, fan, tau = bundle()
+    matrices = _bound_1_box(tau)
+    passes = []
+    validate = toricfiber.validate_fan
+    monkeypatch.setattr(
+        toricfiber, "validate_fan", lambda f: passes.append(f) or validate(f)
+    )
+    verdicts = list(fano_scan(flag, fan, tau, matrices))
+    assert len(passes) == 1  # one fiber pass for the whole box
+    monkeypatch.undo()
+    assert len(verdicts) == len(matrices)
+    for matrix, verdict in zip(matrices, verdicts):
+        assert verdict == fano_check(flag, fan, TauMap(matrix, tau.basis))
+        assert verdict.fiber == validate(fan)
+
+
+NON_SMOOTH = Fan(2, ((1, 0), (0, 1), (-1, -2)), ((0, 1), (1, 2), (2, 0)))
+
+
+def _faults():
+    hirz = support.hirzebruch_flag()
+    flag, tau = support.so4n_flag_tau(2)
+    off = VectorH.unit(4, 0)  # not in z(k) for crossed nodes {2, 4}
+    b = flag.zk_basis_default[0]
+    p1, p2 = projective_space(1), projective_space(2)
+    return [
+        (hirz, p1, TauMap(((F(1), F(2)),)), InputError),
+        (hirz, p1, TauMap(((F(1),), (F(2),))), InputError),
+        (flag, p2, TauMap(tau.matrix, (off, off)), DomainError),
+        (flag, p2, TauMap(tau.matrix, (b, 3 * b)), InputError),
+        (flag, p2, TauMap(tau.matrix, (b,)), InputError),
+        (flag, NON_SMOOTH, tau, DomainError),
+    ]
+
+
+@pytest.mark.parametrize(
+    "flag, fan, tau, error",
+    _faults(),
+    ids=["tau-width", "tau-rows", "basis-off-zk", "basis-dependent", "basis-short",
+         "non-smooth-fan"],
+)
+def test_fano_scan_validates_at_the_call(flag, fan, tau, error):
+    with pytest.raises(error) as by_check:
+        fano_check(flag, fan, tau)
+    with pytest.raises(error) as by_scan:
+        fano_scan(flag, fan, tau, matrices=[])
+    assert str(by_scan.value) == str(by_check.value)
+
+
+def test_fano_scan_point_fan_has_no_margins():
+    flag = support.hirzebruch_flag()
+    (verdict,) = fano_scan(flag, point_fan(), TauMap(()), [()])
+    assert verdict.margins == () and verdict.violations == ()
+    assert verdict.is_fano and verdict.fiber_fano
 
 
 @lru_cache(maxsize=None)
