@@ -11,18 +11,23 @@ h_Q = h_V + B|_z(k)^{-1}(tau^* Q).  A margin of exactly zero means the
 bundle is not Fano.
 
 Q -> h_Q is affine and lands in z(k), where every uncrossed coordinate
-vanishes.  So it is held as one k x m pullback matrix over the crossed
-coordinates, from one Gram solve per row of tau, and each margin pairs a
-root with the k crossed coordinates of h_Q only.
+vanishes.  So it is held as one k x m pullback matrix P = A tau^T over the
+crossed coordinates, where the k x k map A = B G^{-1} depends on the basis
+alone (B its crossed coordinates, G its Gram matrix) and costs k Gram
+solves.  By the lemma of flagbase.in_chamber, every margin is positive iff
+the k crossed coordinates of every h_Q are, so the verdict is decided on
+k |V| inequalities; the full |R_m+| x |V| table is built by fano_margins
+only when a verdict's margins are read.
 
-fano_scan is the one verdict path: one validation and one fiber pass, then
-one verdict per tau matrix.  fano_check is its one-matrix case.
+fano_scan is the one verdict path: one validation, one fiber pass and one
+map A, then one verdict per tau matrix.  fano_check is its one-matrix case.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import _linalg
@@ -76,11 +81,28 @@ class MarginEntry:
 
 @dataclass(frozen=True)
 class FanoVerdict:
+    """The verdict on one tau, with the fiber pass it was decided on.
+
+    is_fano is decided on the crossed simple roots alone.  margins (the
+    full table of fano_margins) and violations (its non-positive entries)
+    are built on first read, for the tau and polytope of the verdict, and
+    take no part in ==.  A point fiber has no margins.
+    """
+
     fiber_fano: bool
-    margins: tuple[MarginEntry, ...]
     is_fano: bool
-    violations: tuple[MarginEntry, ...]
     fiber: FanDiagnostics
+    _flag: FlagManifold = field(repr=False, compare=False)
+    _tau: TauMap = field(repr=False, compare=False)
+
+    @cached_property
+    def margins(self) -> tuple[MarginEntry, ...]:
+        polytope = self.fiber.polytope
+        return fano_margins(self._flag, self._tau, polytope) if polytope.dim else ()
+
+    @cached_property
+    def violations(self) -> tuple[MarginEntry, ...]:
+        return tuple(e for e in self.margins if e.value <= 0)
 
 
 def _basis(flag: FlagManifold, tau: TauMap) -> tuple[VectorH, ...]:
@@ -94,32 +116,58 @@ def _basis(flag: FlagManifold, tau: TauMap) -> tuple[VectorH, ...]:
     for b in basis:
         if not flag.in_zk(b):
             raise DomainError("declared basis vector is not in z(k)")
-    if tau.matrix and any(len(row) != k for row in tau.matrix):
-        raise InputError(
-            f"tau matrix has {len(tau.matrix[0])} columns, expected {k}"
-        )
+    _require_width(tau, k)
     rows = [[b.coords[i] for b in basis] for i in flag.painting.crossed]
     if k and _linalg.matrix_rank(rows) != k:
         raise InputError("declared basis is dependent")
     return tuple(basis)
 
 
-def _pullback(flag: FlagManifold, tau: TauMap) -> Callable[[Sequence], VectorH]:
-    """Q -> h_Q for tau, whose basis _basis checks first.
+def _require_width(tau: TauMap, k: int) -> None:
+    if tau.matrix and any(len(row) != k for row in tau.matrix):
+        raise InputError(
+            f"tau matrix has {len(tau.matrix[0])} columns, expected {k}"
+        )
+
+
+def _require_rows(fan: Fan, tau: TauMap) -> None:
+    if fan.dim != tau.fiber_dim:
+        raise InputError(
+            f"fan dimension {fan.dim} does not match tau rows {tau.fiber_dim}"
+        )
+
+
+def _gram_map(
+    flag: FlagManifold, basis: Sequence[VectorH]
+) -> list[tuple[Fraction, ...]]:
+    """The k x k map A = B G^{-1} from tau^T Q to the crossed part of h_Q - h_V.
 
     h_Q - h_V is the element sum_j c_j b_j of z(k) with G c = tau^T Q, G
     the Gram matrix of the basis.  It vanishes on the uncrossed nodes, so
-    its crossed coordinates carry it, and they are linear in Q: row x of
-    the k x m pullback matrix maps Q to crossed coordinate x.  Column i is
-    the crossed coordinates of G^{-1} tau_i, one Gram solve per row of tau.
+    its crossed coordinates B c carry it, B[x][j] = b_j.coords[x].  G is
+    symmetric, so row x of A solves G a = B[x]: k Gram solves per basis.
     """
-    basis = _basis(flag, tau)
     gram = [[flag.rs.killing_form(a, b) for b in basis] for a in basis]
-    ys = [_linalg.solve_square(gram, row) for row in tau.matrix]
-    pull = [
-        [sum((b.coords[i] * c for b, c in zip(basis, y)), Fraction(0)) for y in ys]
-        for i in flag.painting.crossed
+    return [
+        _linalg.solve_square(gram, [b.coords[x] for b in basis])
+        for x in flag.painting.crossed
     ]
+
+
+def _pull_matrix(
+    gram_map: Sequence[Sequence[Fraction]], tau: TauMap
+) -> list[list[Fraction]]:
+    """The k x m pullback matrix A tau^T: row x maps Q to crossed coordinate x."""
+    return [
+        [sum((a * t for a, t in zip(arow, trow)), Fraction(0)) for trow in tau.matrix]
+        for arow in gram_map
+    ]
+
+
+def _pullback(flag: FlagManifold, tau: TauMap) -> Callable[[Sequence], VectorH]:
+    """Q -> h_Q for tau, whose basis _basis checks first."""
+    basis = _basis(flag, tau)
+    pull = _pull_matrix(_gram_map(flag, basis), tau)
 
     def h(q: Sequence[Fraction | int]) -> VectorH:
         qv = tuple(Fraction(x) for x in q)
@@ -180,23 +228,32 @@ def fano_scan(
 ) -> Iterator[FanoVerdict]:
     """Decide positivity of the first Chern class for each tau matrix in turn.
 
-    flag, fan and tau are validated at the call, with one fiber pass; the
-    verdicts follow lazily, one per matrix against tau.basis.  A point fan
-    leaves the flag manifold itself, always Fano, with no margins.
+    flag, fan and tau are validated at the call, with one fiber pass and
+    one Gram map for tau.basis; the verdicts follow lazily, one per matrix,
+    each checked for its width and row count as fano_check checks tau.  A
+    point fan leaves the flag manifold itself, always Fano, with no margins.
     """
-    _basis(flag, tau)
-    if fan.dim != tau.fiber_dim:
-        raise InputError(
-            f"fan dimension {fan.dim} does not match tau rows {tau.fiber_dim}"
-        )
+    basis = _basis(flag, tau)
+    _require_rows(fan, tau)
     diag = _require_smooth_complete(fan)
+    gram_map = _gram_map(flag, basis)
+    h_v = [flag.h_V.coords[x] for x in flag.painting.crossed]
+    vertices = diag.polytope.vertices
 
     def verdicts() -> Iterator[FanoVerdict]:
         for matrix in matrices:
             each = TauMap(matrix, tau.basis)
-            margins = fano_margins(flag, each, diag.polytope) if fan.dim else ()
-            bad = tuple(e for e in margins if e.value <= 0)
-            yield FanoVerdict(diag.fano, margins, diag.fano and not bad, bad, diag)
+            _require_width(each, len(gram_map))
+            _require_rows(fan, each)
+            pull = _pull_matrix(gram_map, each)
+            # Crossed coordinate x of h_Q is alpha_x(h_Q); by the lemma of
+            # flagbase.in_chamber these k |V| margins decide the table.
+            fano = diag.fano and all(
+                h + sum((p * c for p, c in zip(row, q)), Fraction(0)) > 0
+                for h, row in zip(h_v, pull)
+                for q in vertices
+            )
+            yield FanoVerdict(diag.fano, fano, diag, flag, each)
 
     return verdicts()
 

@@ -106,8 +106,7 @@ def chamber_margins(
     value is strictly positive.  h vanishes on the uncrossed nodes, so
     only the crossed coordinates pair.
     """
-    if not flag.in_zk(h):
-        raise DomainError("h is not in z(k): nonzero evaluation on an uncrossed node")
+    _require_zk(flag, h)
     coords = h.coords
     crossed = flag.painting.crossed
     return tuple(
@@ -117,7 +116,24 @@ def chamber_margins(
 
 
 def in_chamber(flag: FlagManifold, h: VectorH) -> bool:
-    return all(value > 0 for _, value in chamber_margins(flag, h))
+    """Whether alpha(h) > 0 for every alpha in R_m+, for h in z(k).
+
+    Decided on the k crossed simple roots alone.  On z(k) only the crossed
+    coordinates of h can be nonzero, so alpha(h) = sum_x n_x(alpha) h_x
+    over the crossed nodes x, where h_x = h.coords[x] and the integers
+    n_x(alpha) >= 0 are the root's coefficients, at least one of them
+    positive for alpha in R_m+.  Each crossed simple root alpha_x lies in
+    R_m+ and alpha_x(h) = h_x.  So every margin of chamber_margins is
+    positive iff every crossed coordinate of h is: the positivity on z(k)
+    read through its restricted roots.
+    """
+    _require_zk(flag, h)
+    return all(h.coords[x] > 0 for x in flag.painting.crossed)
+
+
+def _require_zk(flag: FlagManifold, h: VectorH) -> None:
+    if not flag.in_zk(h):
+        raise DomainError("h is not in z(k): nonzero evaluation on an uncrossed node")
 
 
 def express_in_zk(

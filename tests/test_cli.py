@@ -381,3 +381,29 @@ def test_deep_product_fibers_exit_2_through_main(capsys, tmp_path):
         assert err.startswith(
             ("error: fiber.parts[0].parts[0]", "error: config is not valid JSON: ")
         ), depth
+
+
+def so16_doc():
+    doc = json.loads((CONFIGS / "so16.json").read_text(encoding="utf-8"))
+    return {**doc, "tau": [[1, 0], [0, 1]]}
+
+
+@pytest.mark.parametrize(
+    "doc, scale_range, zero_at",
+    [
+        pytest.param(hirzebruch_doc(2), [-3, 3], 1, id="hirzebruch-n2"),
+        pytest.param(so16_doc(), [8, 13], 12, id="so16"),
+    ],
+)
+def test_boundary_scans_agree_with_check(
+    capsys, tmp_path, doc, scale_range, zero_at
+):
+    scan_path = write(tmp_path, {**doc, "scan": {"kind": "scale", "range": scale_range}})
+    entries = run_json(capsys, "scan", scan_path)["scan"]["entries"]
+    assert [e["k"] for e in entries] == list(range(scale_range[0], scale_range[1] + 1))
+    for entry in entries:
+        check = run_json(capsys, "check", write(tmp_path, {**doc, "tau": entry["tau"]}))
+        assert entry["is_fano"] == check["verdict"]["is_fano"], entry["k"]
+        if entry["k"] == zero_at:
+            assert not check["verdict"]["is_fano"]
+            assert any(e["value"] == "0" for e in check["margins"])

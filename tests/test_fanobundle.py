@@ -26,11 +26,12 @@ from fanotoric import (
     fano_check,
     fano_margins,
     point_fan,
+    product,
     projective_space,
     pullback_point,
     tau_is_surjective,
 )
-from fanotoric import toricfiber
+from fanotoric import _linalg, fanobundle, toricfiber
 from fanotoric.fanobundle import fano_scan
 
 
@@ -305,8 +306,48 @@ def test_fano_scan_matches_fano_check_per_matrix(monkeypatch, bundle):
     monkeypatch.undo()
     assert len(verdicts) == len(matrices)
     for matrix, verdict in zip(matrices, verdicts):
-        assert verdict == fano_check(flag, fan, TauMap(matrix, tau.basis))
+        check = fano_check(flag, fan, TauMap(matrix, tau.basis))
+        assert verdict == check
+        assert verdict.margins == check.margins
+        assert verdict.violations == check.violations
         assert verdict.fiber == validate(fan)
+
+
+def test_scan_builds_no_table_and_solves_gram_once(monkeypatch):
+    flag, fan, tau = _so8_p2()
+    tables, solves = [], []
+    margins, solve = fanobundle.fano_margins, _linalg.solve_square
+    monkeypatch.setattr(
+        fanobundle, "fano_margins", lambda *a: tables.append(a) or margins(*a)
+    )
+    monkeypatch.setattr(
+        _linalg, "solve_square", lambda *a: solves.append(a) or solve(*a)
+    )
+
+    def solves_for(matrices):
+        solves.clear()
+        fano = [v.is_fano for v in fano_scan(flag, fan, tau, matrices)]
+        assert len(fano) == len(matrices)
+        return len(solves)
+
+    box = _bound_1_box(tau)
+    assert len(box) == 81
+    assert solves_for(box[:1]) == solves_for(box)
+    assert tables == []
+
+
+@pytest.mark.parametrize(
+    "bad", [((1, 0, 0), (0, 1, 0)), ((1, 0),)], ids=["tau-width", "tau-rows"]
+)
+def test_fano_scan_per_matrix_faults_match_check(bad):
+    flag, fan, tau = _so8_p2()
+    with pytest.raises(InputError) as by_check:
+        fano_check(flag, fan, TauMap(bad, tau.basis))
+    verdicts = fano_scan(flag, fan, tau, [bad])
+    with pytest.raises(InputError) as by_scan:
+        next(verdicts)
+    assert type(by_scan.value) is type(by_check.value)
+    assert str(by_scan.value) == str(by_check.value)
 
 
 NON_SMOOTH = Fan(2, ((1, 0), (0, 1), (-1, -2)), ((0, 1), (1, 2), (2, 0)))
@@ -369,14 +410,12 @@ def _unimodular(data, k):
 
 
 RATIONAL = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+BASES = [("A", 4), ("B", 3), ("C", 3), ("D", 4), ("G", 2), ("F", 4)]
 
 
-@settings(deadline=None, max_examples=60)
-@given(
-    st.sampled_from([("A", 4), ("B", 3), ("C", 3), ("D", 4), ("G", 2), ("F", 4)]),
-    st.data(),
-)
-def test_pullback_against_killing_form_oracle(base, data):
+def _draw_tau(data, base, m):
+    """A flag with 1-2 crossed nodes, a random unimodular change of its
+    default basis, and a random integer m x k tau against it."""
     rs = _root_system(*base)
     crossed = data.draw(
         st.lists(st.integers(0, rs.rank - 1), min_size=1, max_size=2, unique=True)
@@ -389,7 +428,6 @@ def test_pullback_against_killing_form_oracle(base, data):
         sum((u[a][j] * default[a] for a in range(k)), VectorH.zero(rs.rank))
         for j in range(k)
     )
-    m = data.draw(st.integers(1, 3))
     matrix = data.draw(
         st.lists(
             st.lists(st.integers(-4, 4), min_size=k, max_size=k),
@@ -397,7 +435,15 @@ def test_pullback_against_killing_form_oracle(base, data):
             max_size=m,
         )
     )
-    tau = TauMap(tuple(tuple(row) for row in matrix), basis)
+    return flag, TauMap(tuple(tuple(row) for row in matrix), basis)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(BASES), st.data())
+def test_pullback_against_killing_form_oracle(base, data):
+    m = data.draw(st.integers(1, 3))
+    flag, tau = _draw_tau(data, base, m)
+    rs, basis = flag.rs, tau.basis
     points = data.draw(
         st.lists(st.lists(RATIONAL, min_size=m, max_size=m), min_size=1, max_size=3)
     )
@@ -414,3 +460,47 @@ def test_pullback_against_killing_form_oracle(base, data):
     for e in entries:
         coords = pullback_point(flag, tau, e.vertex).coords
         assert e.value == sum(c * x for c, x in zip(e.root, coords))
+
+
+FIBERS = {
+    "P1": projective_space(1),
+    "P2": projective_space(2),
+    "P1xP1": product(projective_space(1), projective_space(1)),
+}
+
+
+def _boundary_scale(flag, tau, polytope):
+    """The scale s nearest 0 at which the least margin of s * tau is exactly 0.
+
+    Along s the margin of (Q, alpha) is alpha(h_V) + s d with alpha(h_V) > 0,
+    so the first zero sits at the least alpha(h_V) / |d| over the entries
+    whose d has the sign of s.  None when tau moves no margin.
+    """
+    at_h_v = dict(chamber_margins(flag, flag.h_V))
+    moves = [
+        (at_h_v[e.root], e.value - at_h_v[e.root])
+        for e in fano_margins(flag, tau, polytope)
+    ]
+    ahead = [base / -d for base, d in moves if d < 0]
+    behind = [base / d for base, d in moves if d > 0]
+    if ahead:
+        return min(ahead)
+    return -min(behind) if behind else None
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(BASES), st.sampled_from(sorted(FIBERS)), st.data())
+def test_reduced_verdict_equals_full_table(base, fiber, data):
+    fan = FIBERS[fiber]
+    flag, tau = _draw_tau(data, base, fan.dim)
+    on_boundary = data.draw(st.booleans())
+    if on_boundary:
+        scale = _boundary_scale(flag, tau, canonical_polytope(fan))
+        on_boundary = scale is not None
+        if on_boundary:
+            tau = tau.scaled(scale)
+    v = fano_check(flag, fan, tau)
+    if on_boundary:
+        assert min(e.value for e in v.margins) == 0
+    assert v.is_fano == (v.fiber_fano and all(e.value > 0 for e in v.margins))
+    assert v.violations == tuple(e for e in v.margins if e.value <= 0)

@@ -1,7 +1,10 @@
 from fractions import Fraction as F
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from fanotoric import (
@@ -216,3 +219,31 @@ def test_empty_painting_allowed_for_flag_queries():
     assert flag.r_m_plus == ()
     assert flag.h_V.is_zero()
     assert chamber_margins(flag, flag.h_V) == ()
+
+
+@lru_cache(maxsize=None)
+def _root_system(letter, rank):
+    return build_root_system([SimpleType(letter, rank)])
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    st.sampled_from(
+        [("A", 4), ("B", 3), ("C", 3), ("D", 4), ("G", 2), ("F", 4), ("E", 6)]
+    ),
+    st.data(),
+)
+def test_in_chamber_equals_all_margins_positive(base, data):
+    rs = _root_system(*base)
+    crossed = data.draw(
+        st.lists(st.integers(0, rs.rank - 1), max_size=rs.rank, unique=True)
+    )
+    flag = build_flag(rs, Painting(tuple(crossed)))
+    coords = [F(0)] * rs.rank
+    for x in flag.painting.crossed:
+        coords[x] = data.draw(st.builds(F, st.integers(-2, 6), st.integers(1, 4)))
+    if crossed and data.draw(st.booleans()):
+        coords[data.draw(st.sampled_from(crossed))] = F(0)
+    h = VectorH(tuple(coords))
+    margins = chamber_margins(flag, h)
+    assert in_chamber(flag, h) == all(v > 0 for _, v in margins)
