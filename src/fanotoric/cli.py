@@ -25,7 +25,7 @@ from .fanobundle import (
     fano_scan,
     tau_is_surjective,
 )
-from .flagbase import FlagManifold, Painting, build_flag, chamber_margins
+from .flagbase import FlagManifold, Painting, build_flag, chamber_margins, in_chamber
 from .rootsys import SimpleType, VectorH, build_root_system
 from .toricfiber import (
     Fan,
@@ -333,7 +333,7 @@ def _flag_report(flag: FlagManifold) -> dict:
         "h_v_margins": [
             {"root": list(root), "value": _rat(value)} for root, value in margins
         ],
-        "in_chamber": all(value > 0 for _, value in margins),
+        "in_chamber": in_chamber(flag, flag.h_V),
     }
 
 
@@ -350,11 +350,12 @@ def _fiber_report(fan: Fan, diag: FanDiagnostics) -> dict:
     return rep
 
 
-def _margins_json(entries) -> list[dict]:
+def _margins_json(entries, vertices: list[list[str]]) -> list[dict]:
+    """Entries as report dicts; vertices[i] is vertex i, rendered once."""
     return [
         {
             "vertex_index": e.vertex_index,
-            "vertex": _vec(e.vertex),
+            "vertex": vertices[e.vertex_index],
             "root": list(e.root),
             "value": _rat(e.value),
         }
@@ -442,11 +443,8 @@ def _human_lines(report: dict) -> list[str]:
         lines.append(f"is fano: {'yes' if v['is_fano'] else 'no'}")
         lines.append("margins:")
         lines.extend([_margin_line(e) for e in report["margins"]] or ["  (none)"])
-        if report["violations"]:
-            lines.append("violations:")
-            lines.extend(_margin_line(e) for e in report["violations"])
-        else:
-            lines.append("violations: (none)")
+        lines.append("violations:" if report["violations"] else "violations: (none)")
+        lines.extend(_margin_line(e) for e in report["violations"])
         if "tau_integrality" in report:
             value = report["tau_integrality"]
             text = "not checked" if value == "not checked" else ("yes" if value else "no")
@@ -491,16 +489,18 @@ def cmd_check(cfg: Config, oracle: bool) -> dict:
     warnings: list[str] = []
     verdict = fano_check(flag, fan, tau)
     integrality = check_tau_integrality(flag, tau, cfg.cocharacter_basis)
+    fiber = _fiber_report(fan, verdict.fiber)
+    margins = _margins_json(verdict.margins, fiber["polytope_vertices"])
     report = {
         "config": cfg.echo,
         "flag": _flag_report(flag),
-        "fiber": _fiber_report(fan, verdict.fiber),
+        "fiber": fiber,
         "verdict": {
             "fiber_fano": verdict.fiber_fano,
             "is_fano": verdict.is_fano,
         },
-        "margins": _margins_json(verdict.margins),
-        "violations": _margins_json(verdict.violations),
+        "margins": margins,
+        "violations": [d for d, e in zip(margins, verdict.margins) if e.value <= 0],
         "tau_integrality": "not checked" if integrality is None else integrality,
         "warnings": warnings,
     }

@@ -15,9 +15,9 @@ vanishes.  So it is held as one k x m pullback matrix P = A tau^T over the
 crossed coordinates, where the k x k map A = B G^{-1} depends on the basis
 alone (B its crossed coordinates, G its Gram matrix) and costs k Gram
 solves.  By the lemma of flagbase.in_chamber, every margin is positive iff
-the k crossed coordinates of every h_Q are, so the verdict is decided on
-k |V| inequalities; the full |R_m+| x |V| table is built by fano_margins
-only when a verdict's margins are read.
+the k crossed coordinates of every h_Q (_lift) are, so the verdict is decided
+on k |V| inequalities; the |R_m+| x |V| table pairs the same lifts with R_m+
+(_table) from the verdict's own P, only when its margins are read.
 
 fano_scan is the one verdict path: one validation, one fiber pass and one
 map A, then one verdict per tau matrix.  fano_check is its one-matrix case.
@@ -28,16 +28,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import _linalg
 from .errors import DomainError, InputError
-from .flagbase import FlagManifold, chamber_margins, express_in_zk
+from .flagbase import FlagManifold, _pair, express_in_zk
 from .rootsys import Root, VectorH
 # is_fano stays bound here: perfbench/test_bench.py checks that the tracer
 # rebinds names imported from toricfiber, and reads fanobundle.is_fano.
 from .toricfiber import Fan, FanDiagnostics, Polytope, _require_smooth_complete
 from .toricfiber import is_fano  # noqa: F401
+
+Rows = Sequence[Sequence[Fraction]]
 
 
 @dataclass(frozen=True)
@@ -84,21 +86,21 @@ class FanoVerdict:
     """The verdict on one tau, with the fiber pass it was decided on.
 
     is_fano is decided on the crossed simple roots alone.  margins (the
-    full table of fano_margins) and violations (its non-positive entries)
-    are built on first read, for the tau and polytope of the verdict, and
-    take no part in ==.  A point fiber has no margins.
+    table fano_margins gives for this tau and polytope) and violations (its
+    non-positive entries) are built on first read from the pullback matrix
+    P of the verdict, and take no part in ==.  A point fiber has no margins.
     """
 
     fiber_fano: bool
     is_fano: bool
     fiber: FanDiagnostics
     _flag: FlagManifold = field(repr=False, compare=False)
-    _tau: TauMap = field(repr=False, compare=False)
+    _pull: list[list[Fraction]] = field(repr=False, compare=False)
 
     @cached_property
     def margins(self) -> tuple[MarginEntry, ...]:
         polytope = self.fiber.polytope
-        return fano_margins(self._flag, self._tau, polytope) if polytope.dim else ()
+        return _table(self._flag, self._pull, polytope.vertices) if polytope.dim else ()
 
     @cached_property
     def violations(self) -> tuple[MarginEntry, ...]:
@@ -137,9 +139,7 @@ def _require_rows(fan: Fan, tau: TauMap) -> None:
         )
 
 
-def _gram_map(
-    flag: FlagManifold, basis: Sequence[VectorH]
-) -> list[tuple[Fraction, ...]]:
+def _gram_map(flag: FlagManifold, basis: Sequence[VectorH]) -> Rows:
     """The k x k map A = B G^{-1} from tau^T Q to the crossed part of h_Q - h_V.
 
     h_Q - h_V is the element sum_j c_j b_j of z(k) with G c = tau^T Q, G
@@ -154,33 +154,37 @@ def _gram_map(
     ]
 
 
-def _pull_matrix(
-    gram_map: Sequence[Sequence[Fraction]], tau: TauMap
-) -> list[list[Fraction]]:
+def _dot(u: Sequence[Fraction], v: Sequence[Fraction], start=Fraction(0)) -> Fraction:
+    return sum((a * b for a, b in zip(u, v)), start)
+
+
+def _pull_matrix(gram_map: Rows, tau: TauMap) -> list[list[Fraction]]:
     """The k x m pullback matrix A tau^T: row x maps Q to crossed coordinate x."""
-    return [
-        [sum((a * t for a, t in zip(arow, trow)), Fraction(0)) for trow in tau.matrix]
-        for arow in gram_map
-    ]
+    return [[_dot(arow, trow) for trow in tau.matrix] for arow in gram_map]
 
 
-def _pullback(flag: FlagManifold, tau: TauMap) -> Callable[[Sequence], VectorH]:
-    """Q -> h_Q for tau, whose basis _basis checks first."""
-    basis = _basis(flag, tau)
-    pull = _pull_matrix(_gram_map(flag, basis), tau)
+def _lift(flag: FlagManifold, pull: Rows, q: Sequence[Fraction]) -> Iterator[Fraction]:
+    """The crossed coordinates of h_Q = h_V + P Q, lazily, in crossed-node order."""
+    h_v = flag.h_V.coords
+    return (_dot(row, q, h_v[x]) for x, row in zip(flag.painting.crossed, pull))
 
-    def h(q: Sequence[Fraction | int]) -> VectorH:
-        qv = tuple(Fraction(x) for x in q)
-        if len(qv) != tau.fiber_dim:
-            raise InputError(
-                f"point has length {len(qv)}, fiber dimension is {tau.fiber_dim}"
-            )
-        coords = list(flag.h_V.coords)
-        for i, row in zip(flag.painting.crossed, pull):
-            coords[i] += sum((p * x for p, x in zip(row, qv)), Fraction(0))
-        return VectorH(tuple(coords))
 
-    return h
+def _table(flag: FlagManifold, pull: Rows, vertices: Rows) -> tuple[MarginEntry, ...]:
+    """alpha(h_Q) for every vertex Q and alpha in R_m+, vertex-major."""
+    return tuple(
+        MarginEntry(vi, q, root, value)
+        for vi, q in enumerate(vertices)
+        for root, value in _pair(flag, tuple(_lift(flag, pull, q)))
+    )
+
+
+def _point(q: Sequence[Fraction | int], tau: TauMap) -> tuple[Fraction, ...]:
+    qv = tuple(Fraction(x) for x in q)
+    if len(qv) != tau.fiber_dim:
+        raise InputError(
+            f"point has length {len(qv)}, fiber dimension is {tau.fiber_dim}"
+        )
+    return qv
 
 
 def tau_is_surjective(flag: FlagManifold, tau: TauMap) -> bool:
@@ -200,7 +204,9 @@ def pullback_point(
     flag: FlagManifold, tau: TauMap, q: Sequence[Fraction | int]
 ) -> VectorH:
     """h_Q = h_V + B|_z(k)^{-1}(tau^* Q) for a point Q of the fiber dual lattice."""
-    return _pullback(flag, tau)(q)
+    pull = _pull_matrix(_gram_map(flag, _basis(flag, tau)), tau)
+    lifted = dict(zip(flag.painting.crossed, _lift(flag, pull, _point(q, tau))))
+    return VectorH(tuple(lifted.get(i, c) for i, c in enumerate(flag.h_V.coords)))
 
 
 def fano_margins(
@@ -209,18 +215,14 @@ def fano_margins(
     """Margin alpha(h_Q) for every polytope vertex Q and root alpha in R_m+.
 
     Entries are ordered by vertex index, then by the lexicographic root
-    order of R_m+.
+    order of R_m+.  A verdict's margins are this table, read from its own P.
     """
-    pull = _pullback(flag, tau)
+    pull = _pull_matrix(_gram_map(flag, _basis(flag, tau)), tau)
     if polytope.dim != tau.fiber_dim:
         raise InputError(
             f"polytope dimension {polytope.dim} does not match tau rows {tau.fiber_dim}"
         )
-    return tuple(
-        MarginEntry(vi, q, root, value)
-        for vi, q in enumerate(polytope.vertices)
-        for root, value in chamber_margins(flag, pull(q))
-    )
+    return _table(flag, pull, [_point(q, tau) for q in polytope.vertices])
 
 
 def fano_scan(
@@ -237,7 +239,6 @@ def fano_scan(
     _require_rows(fan, tau)
     diag = _require_smooth_complete(fan)
     gram_map = _gram_map(flag, basis)
-    h_v = [flag.h_V.coords[x] for x in flag.painting.crossed]
     vertices = diag.polytope.vertices
 
     def verdicts() -> Iterator[FanoVerdict]:
@@ -249,11 +250,9 @@ def fano_scan(
             # Crossed coordinate x of h_Q is alpha_x(h_Q); by the lemma of
             # flagbase.in_chamber these k |V| margins decide the table.
             fano = diag.fano and all(
-                h + sum((p * c for p, c in zip(row, q)), Fraction(0)) > 0
-                for h, row in zip(h_v, pull)
-                for q in vertices
+                h > 0 for q in vertices for h in _lift(flag, pull, q)
             )
-            yield FanoVerdict(diag.fano, fano, diag, flag, each)
+            yield FanoVerdict(diag.fano, fano, diag, flag, pull)
 
     return verdicts()
 
@@ -278,10 +277,6 @@ def check_tau_integrality(
     basis = _basis(flag, tau)
     for gen in cocharacter_basis:
         coeffs = express_in_zk(flag, gen, basis)
-        image = (
-            sum((x * c for x, c in zip(row, coeffs)), Fraction(0))
-            for row in tau.matrix
-        )
-        if any(x.denominator != 1 for x in image):
+        if any(_dot(row, coeffs).denominator != 1 for row in tau.matrix):
             return False
     return True

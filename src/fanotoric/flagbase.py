@@ -104,13 +104,17 @@ def chamber_margins(
 
     h must lie in z(k); membership in the chamber means every returned
     value is strictly positive.  h vanishes on the uncrossed nodes, so
-    only the crossed coordinates pair.
+    only its crossed coordinates pair (_pair).
     """
     _require_zk(flag, h)
-    coords = h.coords
+    return _pair(flag, [h.coords[x] for x in flag.painting.crossed])
+
+
+def _pair(flag: FlagManifold, h: Sequence[Fraction]) -> tuple[tuple[Root, Fraction], ...]:
+    """alpha(h) for every alpha in R_m+, from the crossed coordinates of h in z(k)."""
     crossed = flag.painting.crossed
     return tuple(
-        (root, sum((root[i] * coords[i] for i in crossed if root[i]), Fraction(0)))
+        (root, sum((root[x] * c for x, c in zip(crossed, h) if root[x]), Fraction(0)))
         for root in flag.r_m_plus
     )
 

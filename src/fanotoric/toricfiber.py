@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import gcd
 
 from . import _linalg
@@ -128,27 +127,53 @@ def _spans_lattice(fan: Fan) -> bool:
     return index == 1
 
 
+def _covers_once(fan: Fan) -> bool:
+    """Whether a generic point lies in exactly one maximal cone.
+
+    Called for dim >= 1 once every facet joins two cones of nonzero
+    determinant from opposite sides: such cones cover every generic point
+    equally often.  The sum p of the first cone's rays lies inside it, so
+    the cones cover once iff no other closed cone holds p, as one that did
+    would overlap the first near p.  p lies in a closed cone iff its
+    coordinates in the cone's ray basis are all >= 0.
+    """
+    first, *others = fan.max_cones
+    p = [sum(c) for c in zip(*(fan.rays[i] for i in first))]
+    for cone in others:
+        columns = [[fan.rays[i][j] for i in cone] for j in range(fan.dim)]
+        if min(_linalg.solve_square(columns, p)) >= 0:
+            return False
+    return True
+
+
 def validate_fan(fan: Fan) -> FanDiagnostics:
     """Report smoothness, completeness and effectiveness of a fan.
 
-    A smooth complete fan also gets its canonical polytope, one vertex per
-    maximal cone, and its Fano flag: the anticanonical support function is
-    strictly convex when every ray off a cone pairs to more than -1 with
-    that cone's vertex.
+    Complete means the cones tile R^dim: every facet lies in exactly two
+    maximal cones, on opposite sides of its hyperplane, and a generic point
+    lies in exactly one cone.  Dropping ray i from a cone leaves a facet;
+    the ray lies on the side (-1)^i det(cone) of it, oriented by the facet's
+    rays in order.  A smooth complete fan also gets its canonical polytope,
+    one vertex per maximal cone, and its Fano flag: the anticanonical
+    support function is strictly convex when every ray off a cone pairs to
+    more than -1 with that cone's vertex.
     """
-    bad = tuple(
-        idx
-        for idx, cone in enumerate(fan.max_cones)
-        if fan.dim > 0
-        and abs(_linalg.determinant([fan.rays[i] for i in cone])) != 1
+    dets = [
+        _linalg.determinant([fan.rays[i] for i in cone]) if fan.dim else Fraction(1)
+        for cone in fan.max_cones
+    ]
+    bad = tuple(idx for idx, det in enumerate(dets) if abs(det) != 1)
+    sides: dict[Cone, list[Fraction]] = {}
+    for cone, det in zip(fan.max_cones, dets):
+        for i in range(fan.dim):
+            sides.setdefault(cone[:i] + cone[i + 1 :], []).append((-1) ** i * det)
+    defects = sum(1 for v in sides.values() if len(v) != 2)
+    complete = (
+        bool(fan.max_cones)
+        and defects == 0
+        and all(a * b < 0 for a, b in sides.values())
+        and (fan.dim == 0 or _covers_once(fan))
     )
-    facet_counts: dict[Cone, int] = {}
-    if fan.dim > 0:
-        for cone in fan.max_cones:
-            for facet in combinations(cone, fan.dim - 1):
-                facet_counts[facet] = facet_counts.get(facet, 0) + 1
-    defects = sum(1 for v in facet_counts.values() if v != 2)
-    complete = bool(fan.max_cones) and defects == 0
     fano = polytope = None
     if not bad and complete:
         vertices = tuple(

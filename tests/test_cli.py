@@ -11,6 +11,7 @@ from fanotoric import cli
 from fanotoric.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+FANS = Path(__file__).resolve().parent / "fans"
 
 
 def run(capsys, *argv):
@@ -130,6 +131,15 @@ def test_polytope_f2_warns_not_fano(capsys, tmp_path):
     assert report["fiber"]["fano"] is False
     assert any("not Fano" in w for w in report["warnings"])
     assert len(report["fiber"]["polytope_vertices"]) == 4
+
+
+@pytest.mark.parametrize("name", ["winding", "folding"])
+def test_overlapping_fans_exit_2(capsys, name):
+    code, out, err = run(capsys, "check", str(FANS / f"{name}.json"))
+    assert (code, out) == (2, "")
+    assert err == "error: fan is not complete\n"
+    code, _, err = run(capsys, "polytope", str(FANS / f"{name}.json"))
+    assert code == 2 and "not smooth and complete" in err
 
 
 def test_check_f2_bundle_not_fano(capsys):

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as F
 from functools import lru_cache
@@ -15,6 +16,7 @@ from fanotoric import (
     InputError,
     Painting,
     Polytope,
+    RootSystem,
     SimpleType,
     TauMap,
     VectorH,
@@ -31,7 +33,7 @@ from fanotoric import (
     pullback_point,
     tau_is_surjective,
 )
-from fanotoric import _linalg, fanobundle, toricfiber
+from fanotoric import _linalg, cli, fanobundle, toricfiber
 from fanotoric.fanobundle import fano_scan
 
 
@@ -309,6 +311,9 @@ def test_fano_scan_matches_fano_check_per_matrix(monkeypatch, bundle):
         check = fano_check(flag, fan, TauMap(matrix, tau.basis))
         assert verdict == check
         assert verdict.margins == check.margins
+        assert verdict.margins == fano_margins(
+            flag, TauMap(matrix, tau.basis), verdict.fiber.polytope
+        )
         assert verdict.violations == check.violations
         assert verdict.fiber == validate(fan)
 
@@ -316,10 +321,8 @@ def test_fano_scan_matches_fano_check_per_matrix(monkeypatch, bundle):
 def test_scan_builds_no_table_and_solves_gram_once(monkeypatch):
     flag, fan, tau = _so8_p2()
     tables, solves = [], []
-    margins, solve = fanobundle.fano_margins, _linalg.solve_square
-    monkeypatch.setattr(
-        fanobundle, "fano_margins", lambda *a: tables.append(a) or margins(*a)
-    )
+    table, solve = fanobundle._table, _linalg.solve_square
+    monkeypatch.setattr(fanobundle, "_table", lambda *a: tables.append(a) or table(*a))
     monkeypatch.setattr(
         _linalg, "solve_square", lambda *a: solves.append(a) or solve(*a)
     )
@@ -334,6 +337,25 @@ def test_scan_builds_no_table_and_solves_gram_once(monkeypatch):
     assert len(box) == 81
     assert solves_for(box[:1]) == solves_for(box)
     assert tables == []
+
+
+def test_one_check_makes_one_gram_map(monkeypatch, tmp_path, capsys):
+    # A3 crossed at both ends, fiber P2: the 2 x 2 Gram matrix is the only
+    # use of the Killing form, and the printed table reuses the verdict's P.
+    doc = {
+        "base": {"components": [{"letter": "A", "rank": 3}], "crossed": [1, 3]},
+        "fiber": {"kind": "projective_space", "dim": 2},
+        "tau": [[1, 0], [0, 1]],
+    }
+    path = tmp_path / "a3.json"
+    path.write_text(json.dumps(doc))
+    maps, forms = [], []
+    gram_map, form = fanobundle._gram_map, RootSystem.killing_form
+    monkeypatch.setattr(fanobundle, "_gram_map", lambda *a: maps.append(a) or gram_map(*a))
+    monkeypatch.setattr(RootSystem, "killing_form", lambda *a: forms.append(a) or form(*a))
+    assert cli.main(["check", str(path), "--json"]) == 0
+    assert (len(maps), len(forms)) == (1, 4)
+    assert len(json.loads(capsys.readouterr().out)["margins"]) == 15  # 3 vertices x 5 roots
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,10 @@
+import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
 import support
@@ -207,3 +211,64 @@ def test_point_fan_valid_and_complete():
     diag = validate_fan(point_fan())
     assert diag.smooth and diag.complete and diag.effective
     assert is_fano(point_fan())
+
+
+FANS = Path(__file__).resolve().parent / "fans"
+
+
+def fixture_fan(name):
+    spec = json.loads((FANS / f"{name}.json").read_text())["fiber"]
+    rays = tuple(tuple(r) for r in spec["rays"])
+    return Fan(len(rays[0]), rays, tuple(tuple(c) for c in spec["max_cones"]))
+
+
+@pytest.mark.parametrize("name", ["winding", "folding"])
+def test_overlapping_pseudomanifold_fans_are_not_complete(name):
+    # Every facet lies in exactly two smooth cones, but the winding fan
+    # covers the plane twice and the folding fan puts two cones on the
+    # same side of a shared ray.  Each rotation of the cone list starts
+    # the cover test from another cone.
+    fan = fixture_fan(name)
+    for turn in range(len(fan.max_cones)):
+        cones = fan.max_cones[turn:] + fan.max_cones[:turn]
+        diag = validate_fan(Fan(fan.dim, fan.rays, cones))
+        assert diag.smooth and diag.facet_defects == 0
+        assert not diag.complete and diag.polytope is None
+    with pytest.raises(DomainError, match="fan is not complete"):
+        is_fano(fan)
+
+
+def test_cones_folded_back_over_a_ray_are_not_complete():
+    # The cones run round from (1, 0) to (1, -1), fold back to (1, -2) and
+    # close at (1, 0): each facet is shared, and the point (1, 2) lies in
+    # one cone, but the two cones on (1, -1) lie on the same side of it.
+    rays = ((1, 0), (0, 1), (-1, 0), (0, -1), (1, -1), (1, -2))
+    fan = Fan(2, rays, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)))
+    diag = validate_fan(fan)
+    assert diag.facet_defects == 0
+    assert not diag.complete
+
+
+SHUFFLED = {
+    "P2": cp2(),
+    "F1": support.hirzebruch_surface_fan(1),
+    "F2": support.hirzebruch_surface_fan(2),
+    "P1xP1": product(cp1(), cp1()),
+}
+
+
+@given(st.sampled_from(sorted(SHUFFLED)), st.data())
+def test_shuffled_fans_stay_complete_with_the_same_vertices(name, data):
+    fan = SHUFFLED[name]
+    order = data.draw(st.permutations(range(len(fan.rays))))
+    new_index = {old: new for new, old in enumerate(order)}
+    cones = data.draw(st.permutations(fan.max_cones))
+    shuffled = Fan(
+        fan.dim,
+        tuple(fan.rays[old] for old in order),
+        tuple(tuple(new_index[i] for i in cone) for cone in cones),
+    )
+    before, after = validate_fan(fan), validate_fan(shuffled)
+    assert after.smooth and after.complete
+    assert after.fano == before.fano
+    assert set(after.polytope.vertices) == set(before.polytope.vertices)
