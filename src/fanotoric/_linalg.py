@@ -13,21 +13,21 @@ class RankDeficiencyError(ArithmeticError):
 
 
 def _reduce(
-    rows: Sequence[Row], rhs: Row | None = None
+    rows: Sequence[Row], rhs: Sequence[Row] = ()
 ) -> tuple[list[list[Fraction]], int, Fraction]:
     """Gauss-Jordan reduction to reduced row echelon form.
 
-    rhs, when given, rides along as an extra column that is never chosen
-    as a pivot.  Returns the reduced rows, the rank and the product of
-    the pivots signed by the row swaps (the determinant when square and
-    of full rank).
+    rhs is a block of right-hand-side columns that ride along after the
+    coefficient columns and are never chosen as pivots.  Returns the
+    reduced rows, the rank and the product of the pivots signed by the row
+    swaps (the determinant when square and of full rank).
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
-    a = [[Fraction(x) for x in row] for row in rows]
-    if rhs is not None:
-        for row, y in zip(a, rhs):
-            row.append(Fraction(y))
+    a = [
+        [Fraction(x) for x in row] + [Fraction(c[i]) for c in rhs]
+        for i, row in enumerate(rows)
+    ]
     rank = 0
     det = Fraction(1)
     for col in range(n):
@@ -51,7 +51,7 @@ def _reduce(
 def solve_square(rows: Sequence[Row], rhs: Row) -> tuple[Fraction, ...]:
     """Solve a nonsingular square system by Gauss-Jordan elimination."""
     n = len(rows)
-    a, rank, _ = _reduce(rows, rhs)
+    a, rank, _ = _reduce(rows, (rhs,))
     if rank < n:
         raise RankDeficiencyError("singular matrix")
     return tuple(a[i][n] for i in range(n))
@@ -65,7 +65,7 @@ def solve_consistent(rows: Sequence[Row], rhs: Row) -> tuple[Fraction, ...] | No
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
-    a, rank, _ = _reduce(rows, rhs)
+    a, rank, _ = _reduce(rows, (rhs,))
     if rank < n:
         raise RankDeficiencyError("dependent columns")
     if any(a[i][n] != 0 for i in range(n, m)):
@@ -80,3 +80,10 @@ def matrix_rank(rows: Sequence[Row]) -> int:
 def determinant(rows: Sequence[Row]) -> Fraction:
     _, rank, det = _reduce(rows)
     return det if rank == len(rows) else Fraction(0)
+
+
+def invert(rows: Sequence[Row]) -> tuple[Fraction, list[list[Fraction]]]:
+    """Determinant and inverse rows of a square matrix; no rows when singular."""
+    n = len(rows)
+    a, rank, det = _reduce(rows, [[int(i == j) for i in range(n)] for j in range(n)])
+    return (det, [row[n:] for row in a]) if rank == n else (Fraction(0), [])

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from itertools import product as iter_product, tee
@@ -41,6 +42,10 @@ DEFAULT_SCAN_CAP = 10000
 # Deepest product nesting a fiber may have; deeper configs exit 2 before
 # any recursion over them can reach the interpreter's limit.
 MAX_FIBER_DEPTH = 32
+# The documented rational strings: an integer or p/q, with an optional sign.
+# Fraction alone would also take decimals, exponents, underscores, non-ASCII
+# digits and surrounding whitespace; "1e10000000" takes seconds to parse.
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 class ConfigError(InputError):
@@ -86,9 +91,11 @@ def _parse_rational(value: Any, path: str) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
-            return Fraction(value)
+            if _RATIONAL.fullmatch(value):
+                return Fraction(value)
         except (ValueError, ZeroDivisionError):
-            raise ConfigError(path, f"invalid rational {value!r}") from None
+            pass
+        raise ConfigError(path, f"invalid rational {value!r}")
     raise ConfigError(
         path, f"expected an integer or 'p/q' string, got {type(value).__name__}"
     )
@@ -610,9 +617,11 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
+    # ValueError covers JSONDecodeError and integer literals longer than the
+    # interpreter's digit limit.
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
         return 2
     try:

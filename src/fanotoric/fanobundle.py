@@ -13,9 +13,9 @@ bundle is not Fano.
 Q -> h_Q is affine and lands in z(k), where every uncrossed coordinate
 vanishes.  So it is held as one k x m pullback matrix P = A tau^T over the
 crossed coordinates, where the k x k map A = B G^{-1} depends on the basis
-alone (B its crossed coordinates, G its Gram matrix) and costs k Gram
-solves.  By the lemma of flagbase.in_chamber, every margin is positive iff
-the k crossed coordinates of every h_Q (_lift) are, so the verdict is decided
+alone (B its crossed coordinates, G its Gram matrix) and costs one inversion
+of G.  By the lemma of flagbase.in_chamber, every margin is positive iff the
+k crossed coordinates of every h_Q (_lift) are, so the verdict is decided
 on k |V| inequalities; the |R_m+| x |V| table pairs the same lifts with R_m+
 (_table) from the verdict's own P, only when its margins are read.
 
@@ -145,13 +145,14 @@ def _gram_map(flag: FlagManifold, basis: Sequence[VectorH]) -> Rows:
     h_Q - h_V is the element sum_j c_j b_j of z(k) with G c = tau^T Q, G
     the Gram matrix of the basis.  It vanishes on the uncrossed nodes, so
     its crossed coordinates B c carry it, B[x][j] = b_j.coords[x].  G is
-    symmetric, so row x of A solves G a = B[x]: k Gram solves per basis.
+    inverted once per basis (G^{-1} is symmetric: its rows are its columns).
     """
     gram = [[flag.rs.killing_form(a, b) for b in basis] for a in basis]
-    return [
-        _linalg.solve_square(gram, [b.coords[x] for b in basis])
-        for x in flag.painting.crossed
-    ]
+    det, inverse = _linalg.invert(gram)
+    if det == 0:
+        raise _linalg.RankDeficiencyError("singular matrix")
+    rows = [[b.coords[x] for b in basis] for x in flag.painting.crossed]
+    return [[_dot(row, col) for col in inverse] for row in rows]
 
 
 def _dot(u: Sequence[Fraction], v: Sequence[Fraction], start=Fraction(0)) -> Fraction:

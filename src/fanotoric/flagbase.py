@@ -8,7 +8,8 @@ isotropy is cut out by the vanishing of all R_o evaluations; its default
 basis here is the unit evaluation vector of each crossed node.  The vector
 h_V, the sum of the Killing duals of R_m+, realizes the invariant
 Kaehler-Einstein form of the flag manifold and lies strictly inside the
-positivity chamber: alpha(h_V) > 0 for every alpha in R_m+.
+positivity chamber: alpha(h_V) > 0 for every alpha in R_m+.  As h_V lies
+in z(k), the k x k crossed block of the Killing Gram matrix decides it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Sequence
 
 from . import _linalg
 from .errors import DomainError, InputError
-from .rootsys import FunctionalH, Root, RootSystem, VectorH, killing_dual
+from .rootsys import Root, RootSystem, VectorH
 
 
 @dataclass(frozen=True)
@@ -76,17 +77,16 @@ def build_flag(rs: RootSystem, painting: Painting) -> FlagManifold:
         if pos and any(root[i] != 0 for i in crossed)
     )
     basis = tuple(VectorH.unit(rs.rank, i) for i in crossed)
-    total = [0] * rs.rank
-    for root in r_m_plus:
-        for j, c in enumerate(root):
-            total[j] += c
-    h_v = killing_dual(rs, FunctionalH(tuple(Fraction(c) for c in total)))
-    # Weyl invariance of the R_m+ sum forces h_V into z(k); a failure here
-    # would mean the generation above is broken.
-    crossed_set = set(crossed)
+    total = [sum(root[j] for root in r_m_plus) for j in range(rs.rank)]
+    # Weyl invariance of the R_m+ sum puts h_V in z(k): every row of the full
+    # r x r system must hold, or the generation above is broken.
+    block = [[rs.gram[x][y] for y in crossed] for x in crossed]
+    h = _linalg.solve_square(block, [total[x] for x in crossed])
     assert all(
-        h_v.coords[i] == 0 for i in range(rs.rank) if i not in crossed_set
+        sum(row[y] * c for y, c in zip(crossed, h)) == t for row, t in zip(rs.gram, total)
     ), "h_V escaped z(k)"
+    coords = dict(zip(crossed, h))
+    h_v = VectorH(tuple(coords.get(i, 0) for i in range(rs.rank)))
     return FlagManifold(
         rs=rs,
         painting=painting,

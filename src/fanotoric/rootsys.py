@@ -38,7 +38,7 @@ class SimpleType:
     rank: int
 
     def __post_init__(self) -> None:
-        if self.letter not in "ABCDEFG":
+        if self.letter not in tuple("ABCDEFG"):
             raise InputError(f"unknown Dynkin letter {self.letter!r}")
         if not isinstance(self.rank, int) or self.rank < 1:
             raise InputError(f"rank must be a positive integer, got {self.rank!r}")
@@ -266,7 +266,11 @@ def build_root_system(spec: Iterable[SimpleType]) -> RootSystem:
 
 
 def killing_dual(rs: RootSystem, functional: FunctionalH) -> VectorH:
-    """The unique h with B(h, .) = functional, solved exactly."""
+    """The unique h with B(h, .) = functional, by one exact r x r solve.
+
+    build_flag finds h_V on the crossed block alone; this full solve is the
+    reference the tests hold it to.
+    """
     if len(functional.coeffs) != rs.rank:
         raise InputError("rank mismatch")
     return VectorH(_linalg.solve_square(rs.gram, functional.coeffs))

@@ -127,23 +127,18 @@ def _spans_lattice(fan: Fan) -> bool:
     return index == 1
 
 
-def _covers_once(fan: Fan) -> bool:
+def _covers_once(fan: Fan, inverses: list[tuple[Fraction, list]]) -> bool:
     """Whether a generic point lies in exactly one maximal cone.
 
     Called for dim >= 1 once every facet joins two cones of nonzero
     determinant from opposite sides: such cones cover every generic point
     equally often.  The sum p of the first cone's rays lies inside it, so
     the cones cover once iff no other closed cone holds p, as one that did
-    would overlap the first near p.  p lies in a closed cone iff its
-    coordinates in the cone's ray basis are all >= 0.
+    would overlap the first near p.  p lies in a closed cone iff it pairs to
+    >= 0 with each vector of the dual basis: the columns of the cone's inverse.
     """
-    first, *others = fan.max_cones
-    p = [sum(c) for c in zip(*(fan.rays[i] for i in first))]
-    for cone in others:
-        columns = [[fan.rays[i][j] for i in cone] for j in range(fan.dim)]
-        if min(_linalg.solve_square(columns, p)) >= 0:
-            return False
-    return True
+    p = [sum(c) for c in zip(*(fan.rays[i] for i in fan.max_cones[0]))]
+    return not any(min(_dot(d, p) for d in zip(*inv)) >= 0 for _, inv in inverses[1:])
 
 
 def validate_fan(fan: Fan) -> FanDiagnostics:
@@ -156,15 +151,13 @@ def validate_fan(fan: Fan) -> FanDiagnostics:
     rays in order.  A smooth complete fan also gets its canonical polytope,
     one vertex per maximal cone, and its Fano flag: the anticanonical
     support function is strictly convex when every ray off a cone pairs to
-    more than -1 with that cone's vertex.
+    more than -1 with that cone's vertex.  Each cone's ray matrix is inverted
+    once, for its determinant, its dual basis and its vertex.
     """
-    dets = [
-        _linalg.determinant([fan.rays[i] for i in cone]) if fan.dim else Fraction(1)
-        for cone in fan.max_cones
-    ]
-    bad = tuple(idx for idx, det in enumerate(dets) if abs(det) != 1)
+    inverses = [_linalg.invert([fan.rays[i] for i in cone]) for cone in fan.max_cones]
+    bad = tuple(idx for idx, (det, _) in enumerate(inverses) if abs(det) != 1)
     sides: dict[Cone, list[Fraction]] = {}
-    for cone, det in zip(fan.max_cones, dets):
+    for cone, (det, _) in zip(fan.max_cones, inverses):
         for i in range(fan.dim):
             sides.setdefault(cone[:i] + cone[i + 1 :], []).append((-1) ** i * det)
     defects = sum(1 for v in sides.values() if len(v) != 2)
@@ -172,14 +165,12 @@ def validate_fan(fan: Fan) -> FanDiagnostics:
         bool(fan.max_cones)
         and defects == 0
         and all(a * b < 0 for a, b in sides.values())
-        and (fan.dim == 0 or _covers_once(fan))
+        and (fan.dim == 0 or _covers_once(fan, inverses))
     )
     fano = polytope = None
     if not bad and complete:
-        vertices = tuple(
-            _linalg.solve_square([fan.rays[i] for i in cone], [-1] * fan.dim)
-            for cone in fan.max_cones
-        )
+        # Minus the sum of the dual basis: minus the row sums of the inverse.
+        vertices = tuple(tuple(-sum(row) for row in inv) for _, inv in inverses)
         fano = all(
             _dot(u, ray) > -1
             for u, cone in zip(vertices, fan.max_cones)

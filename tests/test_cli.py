@@ -285,6 +285,45 @@ def test_bad_rational_names_field(capsys, tmp_path):
     assert "tau[0][0]" in err
 
 
+@pytest.mark.parametrize("letter", ["AB", "EF", ""])
+def test_dynkin_letter_of_two_characters_or_none_exits_2(capsys, tmp_path, letter):
+    doc = hirzebruch_doc(1)
+    doc["base"]["components"] = [{"letter": letter, "rank": 6}]
+    code, out, err = run(capsys, "check", write(tmp_path, doc))
+    assert code == 2
+    assert "base.components[0]" in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1e5000", "1e10000000", "0.5", " 1/2", "1/2 ", "1_000", "\u0663"],
+    ids=["exponent", "huge-exponent", "decimal", "leading-space", "trailing-space",
+         "underscore", "arabic-indic-digit"],
+)
+def test_rational_strings_outside_integer_or_p_q_rejected(capsys, tmp_path, text):
+    doc = hirzebruch_doc(1)
+    doc["tau"] = [[text]]
+    code, out, err = run(capsys, "check", write(tmp_path, doc))
+    assert code == 2
+    assert err == f"error: tau[0][0]: invalid rational {text!r}\n"
+
+
+def test_signed_rational_strings_accepted(capsys, tmp_path):
+    doc = hirzebruch_doc(1)
+    doc["tau"] = [["+2/2"]]
+    assert run_json(capsys, "check", write(tmp_path, doc))["config"]["tau"] == [["1"]]
+
+
+def test_integer_literal_over_the_digit_limit_exits_2(capsys, tmp_path):
+    path = tmp_path / "big.json"
+    text = json.dumps(hirzebruch_doc(1)).replace("[[1]]", "[[1" + "0" * 5000 + "]]")
+    assert len(text) > 5000
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 2
+    assert err.startswith("error: config is not valid JSON: ")
+
+
 def test_float_rational_rejected(capsys, tmp_path):
     doc = hirzebruch_doc(1)
     doc["tau"] = [[0.5]]

@@ -319,13 +319,13 @@ def test_fano_scan_matches_fano_check_per_matrix(monkeypatch, bundle):
 
 
 def test_scan_builds_no_table_and_solves_gram_once(monkeypatch):
+    # Every elimination passes through _linalg._reduce, so a scan that
+    # redid one per tau would count more on the whole box than on one tau.
     flag, fan, tau = _so8_p2()
     tables, solves = [], []
-    table, solve = fanobundle._table, _linalg.solve_square
+    table, reduce = fanobundle._table, _linalg._reduce
     monkeypatch.setattr(fanobundle, "_table", lambda *a: tables.append(a) or table(*a))
-    monkeypatch.setattr(
-        _linalg, "solve_square", lambda *a: solves.append(a) or solve(*a)
-    )
+    monkeypatch.setattr(_linalg, "_reduce", lambda *a: solves.append(a) or reduce(*a))
 
     def solves_for(matrices):
         solves.clear()
@@ -335,13 +335,12 @@ def test_scan_builds_no_table_and_solves_gram_once(monkeypatch):
 
     box = _bound_1_box(tau)
     assert len(box) == 81
-    assert solves_for(box[:1]) == solves_for(box)
+    assert 0 < solves_for(box[:1]) == solves_for(box)
     assert tables == []
 
 
-def test_one_check_makes_one_gram_map(monkeypatch, tmp_path, capsys):
-    # A3 crossed at both ends, fiber P2: the 2 x 2 Gram matrix is the only
-    # use of the Killing form, and the printed table reuses the verdict's P.
+def _a3_check_path(tmp_path):
+    # A3 crossed at both ends, fiber P2: k = m = 2.
     doc = {
         "base": {"components": [{"letter": "A", "rank": 3}], "crossed": [1, 3]},
         "fiber": {"kind": "projective_space", "dim": 2},
@@ -349,6 +348,13 @@ def test_one_check_makes_one_gram_map(monkeypatch, tmp_path, capsys):
     }
     path = tmp_path / "a3.json"
     path.write_text(json.dumps(doc))
+    return path
+
+
+def test_one_check_makes_one_gram_map(monkeypatch, tmp_path, capsys):
+    # The 2 x 2 Gram matrix is the only use of the Killing form, and the
+    # printed table reuses the verdict's P.
+    path = _a3_check_path(tmp_path)
     maps, forms = [], []
     gram_map, form = fanobundle._gram_map, RootSystem.killing_form
     monkeypatch.setattr(fanobundle, "_gram_map", lambda *a: maps.append(a) or gram_map(*a))
@@ -356,6 +362,22 @@ def test_one_check_makes_one_gram_map(monkeypatch, tmp_path, capsys):
     assert cli.main(["check", str(path), "--json"]) == 0
     assert (len(maps), len(forms)) == (1, 4)
     assert len(json.loads(capsys.readouterr().out)["margins"]) == 15  # 3 vertices x 5 roots
+
+
+def test_one_check_eliminates_only_2x2_matrices(monkeypatch, tmp_path, capsys):
+    # h_V on the crossed block, the basis rank, one inversion per P2 cone,
+    # one of the Gram matrix and two ranks for tau_is_surjective: nothing
+    # is eliminated at the rank 3 of the base.
+    path = _a3_check_path(tmp_path)
+    shapes, reduce = [], _linalg._reduce
+
+    def traced(rows, *rhs):
+        shapes.append((len(rows), len(rows[0])))
+        return reduce(rows, *rhs)
+
+    monkeypatch.setattr(_linalg, "_reduce", traced)
+    assert cli.main(["check", str(path), "--json"]) == 0
+    assert shapes == [(2, 2)] * 8
 
 
 @pytest.mark.parametrize(

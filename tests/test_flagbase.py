@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 from functools import lru_cache
 from itertools import combinations
@@ -247,3 +248,37 @@ def test_in_chamber_equals_all_margins_positive(base, data):
     h = VectorH(tuple(coords))
     margins = chamber_margins(flag, h)
     assert in_chamber(flag, h) == all(v > 0 for _, v in margins)
+
+
+def assert_h_v_is_the_killing_dual(rs, paintings):
+    # killing_dual solves the full r x r Gram system, the reference for the
+    # crossed-block solve in build_flag.
+    for crossed in paintings:
+        flag = build_flag(rs, Painting(tuple(crossed)))
+        total = [sum(root[j] for root in flag.r_m_plus) for j in range(rs.rank)]
+        assert flag.h_V == killing_dual(rs, FunctionalH(tuple(total))), crossed
+
+
+def at_most_two_nodes(rank):
+    return [c for k in (0, 1, 2) for c in combinations(range(rank), k)]
+
+
+@pytest.mark.parametrize(
+    "letter,rank",
+    [(letter, rank) for letter, low in zip("ABCD", (1, 2, 2, 3)) for rank in range(low, 9)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)],
+)
+def test_h_v_equals_killing_dual_on_paintings_of_at_most_two_nodes(letter, rank):
+    assert_h_v_is_the_killing_dual(_root_system(letter, rank), at_most_two_nodes(rank))
+
+
+@pytest.mark.parametrize("letter", "ABCD")
+def test_h_v_equals_killing_dual_at_rank_20(letter):
+    rng = random.Random(20)
+    paintings = [(x,) for x in range(20)] + [rng.sample(range(20), 3) for _ in range(5)]
+    assert_h_v_is_the_killing_dual(_root_system(letter, 20), paintings)
+
+
+def test_h_v_equals_killing_dual_on_two_components():
+    rs = build_root_system([SimpleType("B", 3), SimpleType("A", 2)])
+    assert_h_v_is_the_killing_dual(rs, at_most_two_nodes(rs.rank))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from fanotoric._linalg import (
     RankDeficiencyError,
     determinant,
+    invert,
     matrix_rank,
     solve_consistent,
     solve_square,
@@ -57,6 +58,17 @@ def mul(a, x):
 @given(square)
 def test_determinant_equals_cofactor_expansion(a):
     assert determinant(a) == cofactor_det(a)
+
+
+@given(square)
+def test_invert_gives_the_determinant_and_the_inverse_or_no_rows(a):
+    det, inverse = invert(a)
+    assert det == determinant(a)
+    if det:
+        identity = [[int(i == j) for j in range(len(a))] for i in range(len(a))]
+        assert [mul(a, col) for col in zip(*inverse)] == identity
+    else:
+        assert inverse == []
 
 
 @given(small)

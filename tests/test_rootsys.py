@@ -188,7 +188,8 @@ def test_multi_component_block_structure():
 
 @pytest.mark.parametrize(
     "letter,rank",
-    [("D", 2), ("B", 1), ("C", 1), ("E", 9), ("E", 5), ("F", 3), ("G", 4), ("H", 2), ("A", 0)],
+    [("D", 2), ("B", 1), ("C", 1), ("E", 9), ("E", 5), ("F", 3), ("G", 4), ("H", 2), ("A", 0),
+     ("AB", 2), ("EF", 6), ("", 1), (None, 2)],
 )
 def test_inadmissible_types_rejected(letter, rank):
     with pytest.raises(InputError):

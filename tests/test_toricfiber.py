@@ -257,18 +257,95 @@ SHUFFLED = {
 }
 
 
-@given(st.sampled_from(sorted(SHUFFLED)), st.data())
-def test_shuffled_fans_stay_complete_with_the_same_vertices(name, data):
-    fan = SHUFFLED[name]
+def shuffle(fan, data):
+    """The same fan with its rays and its cones drawn in another order."""
     order = data.draw(st.permutations(range(len(fan.rays))))
     new_index = {old: new for new, old in enumerate(order)}
     cones = data.draw(st.permutations(fan.max_cones))
-    shuffled = Fan(
+    return Fan(
         fan.dim,
         tuple(fan.rays[old] for old in order),
         tuple(tuple(new_index[i] for i in cone) for cone in cones),
     )
-    before, after = validate_fan(fan), validate_fan(shuffled)
+
+
+@given(st.sampled_from(sorted(SHUFFLED)), st.data())
+def test_shuffled_fans_stay_complete_with_the_same_vertices(name, data):
+    fan = SHUFFLED[name]
+    before, after = validate_fan(fan), validate_fan(shuffle(fan, data))
     assert after.smooth and after.complete
     assert after.fano == before.fano
     assert set(after.polytope.vertices) == set(before.polytope.vertices)
+
+
+def self_intersections(rays):
+    """b_i with v_{i-1} + v_{i+1} = b_i v_i, for rays listed counterclockwise."""
+    out = []
+    for i, v in enumerate(rays):
+        s = tuple(a + b for a, b in zip(rays[i - 1], rays[(i + 1) % len(rays)]))
+        j = 0 if v[0] else 1
+        b = s[j] // v[j]
+        assert s == (b * v[0], b * v[1])
+        out.append(b)
+    return tuple(out)
+
+
+def iso_class(b):
+    """The b sequence up to rotation and reflection: the surface up to GL2(Z)."""
+    turns = [b[i:] + b[:i] for i in range(len(b))]
+    return min(turns + [t[::-1] for t in turns])
+
+
+def star_surfaces(max_rays=7, max_a=4):
+    """Smooth complete toric surfaces with at most max_rays rays, one per
+    isomorphism class: P2 and F_0..F_max_a refined by star subdivisions
+    u, v -> u + v of adjacent rays (Fulton, Introduction to Toric
+    Varieties, section 2.5).  Rays are listed counterclockwise."""
+    todo = [((1, 0), (0, 1), (-1, -1))]
+    todo += [((1, 0), (0, 1), (-1, a), (0, -1)) for a in range(max_a + 1)]
+    found = {}
+    while todo:
+        rays = todo.pop()
+        key = iso_class(self_intersections(rays))
+        if key in found:
+            continue
+        found[key] = rays
+        if len(rays) == max_rays:
+            continue
+        for i, u in enumerate(rays):
+            v = rays[(i + 1) % len(rays)]
+            todo.append(rays[: i + 1] + ((u[0] + v[0], u[1] + v[1]),) + rays[i + 1 :])
+    return [found[key] for key in sorted(found)]
+
+
+SURFACES = star_surfaces()
+
+
+def surface_fan(rays):
+    n = len(rays)
+    return Fan(2, rays, tuple((i, (i + 1) % n) for i in range(n)))
+
+
+def test_star_subdivisions_give_exactly_the_five_fano_surfaces():
+    fano = [rays for rays in SURFACES if max(self_intersections(rays)) <= 1]
+    assert sorted(len(rays) for rays in fano) == [3, 4, 4, 5, 6]
+    assert sum(is_fano(surface_fan(rays)) for rays in SURFACES) == 5
+
+
+@given(st.sampled_from(SURFACES), st.data())
+def test_generated_surfaces_fano_iff_every_b_at_most_one(rays, data):
+    # A ray with b_i = 2 makes two cones share a vertex, and one with
+    # b_i >= 3 puts a vertex outside the halfspace region; with every
+    # b_i <= 1 the vertices are exactly the region's vertices.
+    fano = max(self_intersections(rays)) <= 1
+    fan = shuffle(surface_fan(rays), data)
+    diag = validate_fan(fan)
+    assert diag.smooth and diag.complete and diag.effective
+    assert diag.fano == fano
+    poly = diag.polytope
+    for u, cone in zip(poly.vertices, poly.cones):
+        for i in cone:
+            assert sum(x * c for x, c in zip(u, fan.rays[i])) == -1
+    vertices = set(poly.vertices)
+    exact = len(vertices) == len(poly.vertices)
+    assert (exact and vertices == oracles.halfspace_vertices(rays, 2)) == fano
