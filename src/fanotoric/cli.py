@@ -111,7 +111,15 @@ def _parse_vector(value: Any, path: str, length: int) -> VectorH:
 
 
 def _rat(x: Fraction) -> str:
-    return str(x)
+    # str raises ValueError past the interpreter's integer string digit limit,
+    # which a report value can reach from config fields that are all under it.
+    try:
+        return str(x)
+    except ValueError:
+        raise DomainError(
+            f"a report value has more than {sys.get_int_max_str_digits()} digits, "
+            "the limit for integer strings"
+        ) from None
 
 
 def _vec(xs) -> list[str]:

@@ -12,12 +12,12 @@ bundle is not Fano.
 
 Q -> h_Q is affine and lands in z(k), where every uncrossed coordinate
 vanishes.  So it is held as one k x m pullback matrix P = A tau^T over the
-crossed coordinates, where the k x k map A = B G^{-1} depends on the basis
-alone (B its crossed coordinates, G its Gram matrix) and costs one inversion
-of G.  By the lemma of flagbase.in_chamber, every margin is positive iff the
-k crossed coordinates of every h_Q (_lift) are, so the verdict is decided
-on k |V| inequalities; the |R_m+| x |V| table pairs the same lifts with R_m+
-(_table) from the verdict's own P, only when its margins are read.
+crossed coordinates, where A = Gamma^{-1} B^{-T} (Gamma the crossed Killing
+Gram block, inverted once per flag; B the basis's crossed coordinates,
+inverted once per basis).  By the lemma of flagbase.in_chamber, every margin
+is positive iff the k crossed coordinates of every h_Q (_lift) are, so the
+verdict is decided on k |V| inequalities; the |R_m+| x |V| table pairs the
+same lifts with R_m+ (_table) from the verdict's own P, only when read.
 
 fano_scan is the one verdict path: one validation, one fiber pass and one
 map A, then one verdict per tau matrix.  fano_check is its one-matrix case.
@@ -32,7 +32,7 @@ from typing import Iterable, Iterator, Sequence
 
 from . import _linalg
 from .errors import DomainError, InputError
-from .flagbase import FlagManifold, _pair, express_in_zk
+from .flagbase import FlagManifold, _pair
 from .rootsys import Root, VectorH
 # is_fano stays bound here: perfbench/test_bench.py checks that the tracer
 # rebinds names imported from toricfiber, and reads fanobundle.is_fano.
@@ -107,8 +107,8 @@ class FanoVerdict:
         return tuple(e for e in self.margins if e.value <= 0)
 
 
-def _basis(flag: FlagManifold, tau: TauMap) -> tuple[VectorH, ...]:
-    """Resolve the declared z(k) basis of tau and check it against the flag."""
+def _basis(flag: FlagManifold, tau: TauMap) -> list[list[Fraction]]:
+    """Check tau's declared z(k) basis against the flag; B^{-1} for _gram_map."""
     k = len(flag.painting.crossed)
     basis = tau.basis if tau.basis is not None else flag.zk_basis_default
     if len(basis) != k:
@@ -119,10 +119,11 @@ def _basis(flag: FlagManifold, tau: TauMap) -> tuple[VectorH, ...]:
         if not flag.in_zk(b):
             raise DomainError("declared basis vector is not in z(k)")
     _require_width(tau, k)
-    rows = [[b.coords[i] for b in basis] for i in flag.painting.crossed]
-    if k and _linalg.matrix_rank(rows) != k:
+    rows = [[b.coords[x] for b in basis] for x in flag.painting.crossed]
+    det, inverse = _linalg.invert(rows)
+    if det == 0:
         raise InputError("declared basis is dependent")
-    return tuple(basis)
+    return inverse
 
 
 def _require_width(tau: TauMap, k: int) -> None:
@@ -139,20 +140,10 @@ def _require_rows(fan: Fan, tau: TauMap) -> None:
         )
 
 
-def _gram_map(flag: FlagManifold, basis: Sequence[VectorH]) -> Rows:
-    """The k x k map A = B G^{-1} from tau^T Q to the crossed part of h_Q - h_V.
-
-    h_Q - h_V is the element sum_j c_j b_j of z(k) with G c = tau^T Q, G
-    the Gram matrix of the basis.  It vanishes on the uncrossed nodes, so
-    its crossed coordinates B c carry it, B[x][j] = b_j.coords[x].  G is
-    inverted once per basis (G^{-1} is symmetric: its rows are its columns).
-    """
-    gram = [[flag.rs.killing_form(a, b) for b in basis] for a in basis]
-    det, inverse = _linalg.invert(gram)
-    if det == 0:
-        raise _linalg.RankDeficiencyError("singular matrix")
-    rows = [[b.coords[x] for b in basis] for x in flag.painting.crossed]
-    return [[_dot(row, col) for col in inverse] for row in rows]
+def _gram_map(flag: FlagManifold, basis_inverse: Rows) -> Rows:
+    """The k x k map A = B G^{-1} = Gamma^{-1} B^{-T}, G = B^T Gamma B the basis
+    Gram matrix, from tau^T Q to the crossed coordinates of h_Q - h_V."""
+    return [[_dot(g, b) for b in basis_inverse] for g in flag._crossed_inverse]
 
 
 def _dot(u: Sequence[Fraction], v: Sequence[Fraction], start=Fraction(0)) -> Fraction:
@@ -236,10 +227,9 @@ def fano_scan(
     each checked for its width and row count as fano_check checks tau.  A
     point fan leaves the flag manifold itself, always Fano, with no margins.
     """
-    basis = _basis(flag, tau)
+    gram_map = _gram_map(flag, _basis(flag, tau))
     _require_rows(fan, tau)
     diag = _require_smooth_complete(fan)
-    gram_map = _gram_map(flag, basis)
     vertices = diag.polytope.vertices
 
     def verdicts() -> Iterator[FanoVerdict]:
@@ -275,9 +265,14 @@ def check_tau_integrality(
     """
     if cocharacter_basis is None:
         return None
-    basis = _basis(flag, tau)
+    basis_inverse = _basis(flag, tau)
     for gen in cocharacter_basis:
-        coeffs = express_in_zk(flag, gen, basis)
+        if not basis_inverse:
+            raise InputError("empty basis")
+        if not flag.in_zk(gen):
+            raise DomainError("h is outside the span of the basis")
+        g = [gen.coords[x] for x in flag.painting.crossed]
+        coeffs = [_dot(row, g) for row in basis_inverse]
         if any(_dot(row, coeffs).denominator != 1 for row in tau.matrix):
             return False
     return True

@@ -8,13 +8,13 @@ isotropy is cut out by the vanishing of all R_o evaluations; its default
 basis here is the unit evaluation vector of each crossed node.  The vector
 h_V, the sum of the Killing duals of R_m+, realizes the invariant
 Kaehler-Einstein form of the flag manifold and lies strictly inside the
-positivity chamber: alpha(h_V) > 0 for every alpha in R_m+.  As h_V lies
-in z(k), the k x k crossed block of the Killing Gram matrix decides it.
+positivity chamber: alpha(h_V) > 0 for every alpha in R_m+.  The flag keeps
+the inverse of the k x k crossed Killing Gram block, which gives h_V in z(k).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -47,6 +47,7 @@ class FlagManifold:
     r_m_plus: tuple[Root, ...]
     zk_basis_default: tuple[VectorH, ...]
     h_V: VectorH
+    _crossed_inverse: list[list[Fraction]] = field(repr=False, compare=False)
 
     @property
     def uncrossed(self) -> tuple[int, ...]:
@@ -80,8 +81,8 @@ def build_flag(rs: RootSystem, painting: Painting) -> FlagManifold:
     total = [sum(root[j] for root in r_m_plus) for j in range(rs.rank)]
     # Weyl invariance of the R_m+ sum puts h_V in z(k): every row of the full
     # r x r system must hold, or the generation above is broken.
-    block = [[rs.gram[x][y] for y in crossed] for x in crossed]
-    h = _linalg.solve_square(block, [total[x] for x in crossed])
+    _, inverse = _linalg.invert([[rs.gram[x][y] for y in crossed] for x in crossed])
+    h = [sum((g * total[y] for g, y in zip(row, crossed)), Fraction(0)) for row in inverse]
     assert all(
         sum(row[y] * c for y, c in zip(crossed, h)) == t for row, t in zip(rs.gram, total)
     ), "h_V escaped z(k)"
@@ -94,6 +95,7 @@ def build_flag(rs: RootSystem, painting: Painting) -> FlagManifold:
         r_m_plus=r_m_plus,
         zk_basis_default=basis,
         h_V=h_v,
+        _crossed_inverse=inverse,
     )
 
 

@@ -324,6 +324,61 @@ def test_integer_literal_over_the_digit_limit_exits_2(capsys, tmp_path):
     assert err.startswith("error: config is not valid JSON: ")
 
 
+def _a1_p1_doc(tau, **extra):
+    return {
+        "base": {"components": [{"letter": "A", "rank": 1}], "crossed": [1]},
+        "fiber": {"kind": "projective_space", "dim": 1},
+        "tau": tau,
+        **extra,
+    }
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("check", _a1_p1_doc([["1/" + "3" * 2500]], zk_basis=[["7" * 2500]])),
+        ("scan", _a1_p1_doc([["3" * 4000]], scan={"kind": "scale", "range": [10**4000] * 2})),
+    ],
+    ids=["check-margin", "scan-scaled-tau"],
+)
+def test_report_value_over_the_digit_limit_exits_2(capsys, tmp_path, command, doc):
+    # Every config field is under the limit; only a computed value is over it.
+    code, out, err = run(capsys, command, write(tmp_path, doc))
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: a report value has more than {sys.get_int_max_str_digits()} digits, "
+        "the limit for integer strings\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "base, extra, message",
+    [
+        ((2, []), {"tau": [[]], "cocharacter_basis": [[0, 0]]}, "empty basis"),
+        (
+            (2, [1]),
+            {"tau": [[1]], "cocharacter_basis": [[0, 1]]},
+            "h is outside the span of the basis",
+        ),
+        (
+            (3, [1, 3]),
+            {"tau": [[1, 0]], "zk_basis": [[1, 0, 0], [2, 0, 0]]},
+            "declared basis is dependent",
+        ),
+    ],
+    ids=["empty-basis", "generator-off-zk", "dependent-zk-basis"],
+)
+def test_integrality_and_basis_errors_exit_2(capsys, tmp_path, base, extra, message):
+    rank, crossed = base
+    doc = {
+        "base": {"components": [{"letter": "A", "rank": rank}], "crossed": crossed},
+        "fiber": {"kind": "projective_space", "dim": 1},
+        **extra,
+    }
+    code, out, err = run(capsys, "check", write(tmp_path, doc))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_float_rational_rejected(capsys, tmp_path):
     doc = hirzebruch_doc(1)
     doc["tau"] = [[0.5]]

@@ -25,6 +25,7 @@ from fanotoric import (
     canonical_polytope,
     chamber_margins,
     check_tau_integrality,
+    express_in_zk,
     fano_check,
     fano_margins,
     point_fan,
@@ -33,7 +34,7 @@ from fanotoric import (
     pullback_point,
     tau_is_surjective,
 )
-from fanotoric import _linalg, cli, fanobundle, toricfiber
+from fanotoric import _linalg, cli, fanobundle, flagbase, toricfiber
 from fanotoric.fanobundle import fano_scan
 
 
@@ -245,8 +246,14 @@ def test_tau_integrality_examples():
 def test_tau_integrality_rejects_generator_outside_zk():
     flag, tau = support.so4n_flag_tau(2)
     outside = VectorH.unit(4, 0)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^h is outside the span of the basis$"):
         check_tau_integrality(flag, tau, [outside])
+    with pytest.raises(InputError, match="^rank mismatch$"):
+        check_tau_integrality(flag, tau, [VectorH.unit(3, 0)])
+    # An empty painting has no basis to express a generator in, whatever it is.
+    empty = build_flag(flag.rs, Painting(()))
+    with pytest.raises(InputError, match="^empty basis$"):
+        check_tau_integrality(empty, TauMap(((),)), [VectorH.unit(3, 0)])
 
 
 def test_tau_shape_errors():
@@ -339,12 +346,13 @@ def test_scan_builds_no_table_and_solves_gram_once(monkeypatch):
     assert tables == []
 
 
-def _a3_check_path(tmp_path):
+def _a3_check_path(tmp_path, **extra):
     # A3 crossed at both ends, fiber P2: k = m = 2.
     doc = {
         "base": {"components": [{"letter": "A", "rank": 3}], "crossed": [1, 3]},
         "fiber": {"kind": "projective_space", "dim": 2},
         "tau": [[1, 0], [0, 1]],
+        **extra,
     }
     path = tmp_path / "a3.json"
     path.write_text(json.dumps(doc))
@@ -352,22 +360,27 @@ def _a3_check_path(tmp_path):
 
 
 def test_one_check_makes_one_gram_map(monkeypatch, tmp_path, capsys):
-    # The 2 x 2 Gram matrix is the only use of the Killing form, and the
-    # printed table reuses the verdict's P.
-    path = _a3_check_path(tmp_path)
-    maps, forms = [], []
-    gram_map, form = fanobundle._gram_map, RootSystem.killing_form
+    # The map comes from the flag's inverse crossed block and the inverse
+    # basis block, which also gives the integrality coefficients: no Killing
+    # form and no basis solve, and the printed table reuses the verdict's P.
+    path = _a3_check_path(tmp_path, cocharacter_basis=[[1, 0, 0], [0, 0, 1]])
+    maps, forms, solves = [], [], []
+    gram_map, form, express = fanobundle._gram_map, RootSystem.killing_form, flagbase.express_in_zk
     monkeypatch.setattr(fanobundle, "_gram_map", lambda *a: maps.append(a) or gram_map(*a))
     monkeypatch.setattr(RootSystem, "killing_form", lambda *a: forms.append(a) or form(*a))
+    for module in (flagbase, fanobundle):
+        monkeypatch.setattr(
+            module, "express_in_zk", lambda *a: solves.append(a) or express(*a), raising=False
+        )
     assert cli.main(["check", str(path), "--json"]) == 0
-    assert (len(maps), len(forms)) == (1, 4)
+    assert (len(maps), len(forms), len(solves)) == (1, 0, 0)
     assert len(json.loads(capsys.readouterr().out)["margins"]) == 15  # 3 vertices x 5 roots
 
 
 def test_one_check_eliminates_only_2x2_matrices(monkeypatch, tmp_path, capsys):
-    # h_V on the crossed block, the basis rank, one inversion per P2 cone,
-    # one of the Gram matrix and two ranks for tau_is_surjective: nothing
-    # is eliminated at the rank 3 of the base.
+    # The crossed Gram block, the basis block, one inversion per P2 cone,
+    # and the basis block and a rank for tau_is_surjective: nothing is
+    # eliminated at the rank 3 of the base.
     path = _a3_check_path(tmp_path)
     shapes, reduce = [], _linalg._reduce
 
@@ -377,7 +390,7 @@ def test_one_check_eliminates_only_2x2_matrices(monkeypatch, tmp_path, capsys):
 
     monkeypatch.setattr(_linalg, "_reduce", traced)
     assert cli.main(["check", str(path), "--json"]) == 0
-    assert shapes == [(2, 2)] * 8
+    assert shapes == [(2, 2)] * 7
 
 
 @pytest.mark.parametrize(
@@ -458,8 +471,9 @@ BASES = [("A", 4), ("B", 3), ("C", 3), ("D", 4), ("G", 2), ("F", 4)]
 
 
 def _draw_tau(data, base, m):
-    """A flag with 1-2 crossed nodes, a random unimodular change of its
-    default basis, and a random integer m x k tau against it."""
+    """A flag with 1-2 crossed nodes, a random invertible rational change
+    of its default basis (unimodular, then each new vector scaled by 1, 1/2,
+    2 or 3), and a random integer m x k tau against it."""
     rs = _root_system(*base)
     crossed = data.draw(
         st.lists(st.integers(0, rs.rank - 1), min_size=1, max_size=2, unique=True)
@@ -467,9 +481,10 @@ def _draw_tau(data, base, m):
     flag = build_flag(rs, Painting(tuple(crossed)))
     k = len(flag.painting.crossed)
     u = _unimodular(data, k)
+    scales = data.draw(st.lists(st.sampled_from((1, F(1, 2), 2, 3)), min_size=k, max_size=k))
     default = flag.zk_basis_default
     basis = tuple(
-        sum((u[a][j] * default[a] for a in range(k)), VectorH.zero(rs.rank))
+        sum((u[a][j] * default[a] for a in range(k)), VectorH.zero(rs.rank)) * scales[j]
         for j in range(k)
     )
     matrix = data.draw(
@@ -504,6 +519,23 @@ def test_pullback_against_killing_form_oracle(base, data):
     for e in entries:
         coords = pullback_point(flag, tau, e.vertex).coords
         assert e.value == sum(c * x for c, x in zip(e.root, coords))
+    # Integrality against the solve over the declared basis, then tau c.
+    k = len(basis)
+    gens = [
+        sum((c * b for c, b in zip(coeffs, basis)), VectorH.zero(rs.rank))
+        for coeffs in data.draw(
+            st.lists(
+                st.lists(st.one_of(st.integers(-3, 3), RATIONAL), min_size=k, max_size=k),
+                max_size=3,
+            )
+        )
+    ]
+    integral = all(
+        sum(row[j] * c for j, c in enumerate(express_in_zk(flag, g, basis))).denominator == 1
+        for g in gens
+        for row in tau.matrix
+    )
+    assert check_tau_integrality(flag, tau, gens) is integral
 
 
 FIBERS = {
