@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 from itertools import product as iter_product, tee
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 from .errors import DomainError, InputError
 from .fanobundle import (
@@ -554,6 +554,25 @@ def cmd_flag_info(cfg: Config) -> dict:
     return {"config": cfg.echo, "flag": _flag_report(flag), "warnings": warnings}
 
 
+def _count(n: int) -> str:
+    # A box count can pass the interpreter's integer string digit limit,
+    # past which str raises ValueError; n >= 10^limit exactly then.
+    try:
+        return str(n)
+    except ValueError:
+        return f"at least 10^{sys.get_int_max_str_digits()}"
+
+
+def _box(bound: int, m: int, k: int) -> Iterator[tuple[dict, list]]:
+    """Every m x k integer matrix with entries in [-bound, bound], unlabelled.
+
+    A generator function, so nothing runs before the first read: product
+    takes in its whole range at once, which must wait for the cap check.
+    """
+    for flat in iter_product(range(-bound, bound + 1), repeat=m * k):
+        yield {}, [flat[i * k : (i + 1) * k] for i in range(m)]
+
+
 def cmd_scan(cfg: Config, cap_override: int | None) -> dict:
     flag = _build_flag(cfg)
     fan = _build_fan(cfg.fiber_spec, "fiber")
@@ -569,16 +588,13 @@ def cmd_scan(cfg: Config, cap_override: int | None) -> dict:
         bound = cfg.scan["bound"]
         k_dim = len(base_tau.matrix[0]) if base_tau.matrix else 0
         count = (2 * bound + 1) ** (fan.dim * k_dim)
-        family = (
-            ({}, [flat[i * k_dim : (i + 1) * k_dim] for i in range(fan.dim)])
-            for flat in iter_product(range(-bound, bound + 1), repeat=fan.dim * k_dim)
-        )
+        family = _box(bound, fan.dim, k_dim)
     # fano_scan validates the config now; no tau is built before the cap check.
     labelled, matrices = tee(family)
     verdicts = fano_scan(flag, fan, base_tau, (rows for _, rows in matrices))
     if count > cap:
         raise InputError(
-            f"scan would enumerate {count} instances, over the cap {cap}; "
+            f"scan would enumerate {_count(count)} instances, over the cap {cap}; "
             f"raise it with --max"
         )
     entries = [

@@ -9,7 +9,9 @@ basis here is the unit evaluation vector of each crossed node.  The vector
 h_V, the sum of the Killing duals of R_m+, realizes the invariant
 Kaehler-Einstein form of the flag manifold and lies strictly inside the
 positivity chamber: alpha(h_V) > 0 for every alpha in R_m+.  The flag keeps
-the inverse of the k x k crossed Killing Gram block, which gives h_V in z(k).
+the inverse of the k x k crossed Killing Gram block, which gives h_V in z(k),
+and the distinct restrictions of R_m+ to the crossed nodes, which give every
+margin on z(k).
 """
 
 from __future__ import annotations
@@ -48,6 +50,10 @@ class FlagManifold:
     zk_basis_default: tuple[VectorH, ...]
     h_V: VectorH
     _crossed_inverse: list[list[Fraction]] = field(repr=False, compare=False)
+    # The distinct restrictions of R_m+ to the crossed nodes, and for each
+    # root of R_m+ the index of its own restriction (_pair).
+    _restrictions: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
+    _restriction_of: tuple[int, ...] = field(repr=False, compare=False)
 
     @property
     def uncrossed(self) -> tuple[int, ...]:
@@ -87,6 +93,11 @@ def build_flag(rs: RootSystem, painting: Painting) -> FlagManifold:
         sum(row[y] * c for y, c in zip(crossed, h)) == t for row, t in zip(rs.gram, total)
     ), "h_V escaped z(k)"
     coords = dict(zip(crossed, h))
+    restrictions: dict[tuple[int, ...], int] = {}
+    restriction_of = tuple(
+        restrictions.setdefault(tuple(root[x] for x in crossed), len(restrictions))
+        for root in r_m_plus
+    )
     h_v = VectorH(tuple(coords.get(i, 0) for i in range(rs.rank)))
     return FlagManifold(
         rs=rs,
@@ -96,6 +107,8 @@ def build_flag(rs: RootSystem, painting: Painting) -> FlagManifold:
         zk_basis_default=basis,
         h_V=h_v,
         _crossed_inverse=inverse,
+        _restrictions=tuple(restrictions),
+        _restriction_of=restriction_of,
     )
 
 
@@ -113,12 +126,17 @@ def chamber_margins(
 
 
 def _pair(flag: FlagManifold, h: Sequence[Fraction]) -> tuple[tuple[Root, Fraction], ...]:
-    """alpha(h) for every alpha in R_m+, from the crossed coordinates of h in z(k)."""
-    crossed = flag.painting.crossed
-    return tuple(
-        (root, sum((root[x] * c for x, c in zip(crossed, h) if root[x]), Fraction(0)))
-        for root in flag.r_m_plus
-    )
+    """alpha(h) for every alpha in R_m+, from the crossed coordinates of h in z(k).
+
+    alpha(h) depends on alpha only through its restriction to the crossed
+    nodes, so each distinct restriction is paired with h once and every
+    root reads its margin from its restriction's value.
+    """
+    values = [
+        sum((n * c for n, c in zip(row, h) if n), Fraction(0))
+        for row in flag._restrictions
+    ]
+    return tuple(zip(flag.r_m_plus, map(values.__getitem__, flag._restriction_of)))
 
 
 def in_chamber(flag: FlagManifold, h: VectorH) -> bool:

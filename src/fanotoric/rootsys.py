@@ -12,14 +12,20 @@ Coordinate conventions used throughout the package:
 * The Killing form restricted to the Cartan subspace is
   B(h, h') = sum over all roots beta of beta(h) beta(h'); in evaluation
   coordinates its Gram matrix is the integer matrix
-  sum_beta c(beta) c(beta)^T over root coefficient vectors.  This is the
-  genuine Killing normalization, not a rescaled invariant form.
+  sum_beta c(beta) c(beta)^T over root coefficient vectors, that is twice
+  the sum over the positive roots, since -beta adds the same c c^T.  This
+  is the genuine Killing normalization, not a rescaled invariant form.
+
+The positive roots of each simple component are built one height at a
+time from its Cartan matrix by the root-string rule (_component_roots);
+the negative roots are their sign flips.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul, neg
 from typing import Iterable, Sequence
 
 from . import _linalg
@@ -156,9 +162,6 @@ class VectorH:
 
     __rmul__ = __mul__
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
 
 @dataclass(frozen=True)
 class FunctionalH:
@@ -191,9 +194,6 @@ class RootSystem:
     def rank(self) -> int:
         return sum(t.rank for t in self.components)
 
-    def positive_roots(self) -> tuple[Root, ...]:
-        return tuple(r for r, p in zip(self.roots, self.positive) if p)
-
     def killing_form(self, h1: VectorH, h2: VectorH) -> Fraction:
         if len(h1.coords) != self.rank or len(h2.coords) != self.rank:
             raise InputError("rank mismatch")
@@ -207,27 +207,36 @@ class RootSystem:
 
 
 def _component_roots(cartan: Sequence[Sequence[int]]) -> list[Root]:
-    """All roots of one component by reflection closure from the base."""
+    """The positive roots of one component, one height at a time.
+
+    Each root beta carries its Cartan pairings <beta, alpha_j^check>: row i
+    of the Cartan matrix for alpha_i, plus row j for each step by alpha_j.
+    beta + alpha_j is a root iff p > <beta, alpha_j^check>, where p is the
+    length of the alpha_j-string below beta (Humphreys, Introduction to Lie
+    Algebras and Representation Theory, 9.4 and 10.1).  Strings are
+    unbroken, so p exceeds a pairing n >= 0 iff beta - (n + 1) alpha_j is
+    one of the lower roots already found; a negative pairing always passes.
+    The roots are returned unsorted.
+    """
     r = len(cartan)
-    cols = [tuple(cartan[i][j] for i in range(r)) for j in range(r)]
-    simple = [tuple(1 if k == i else 0 for k in range(r)) for i in range(r)]
-    found: set[Root] = set(simple)
-    frontier: list[Root] = list(simple)
-    while frontier:
-        nxt: list[Root] = []
-        for root in frontier:
-            for j in range(r):
-                pairing = sum(c * a for c, a in zip(root, cols[j]) if c)
-                if pairing == 0:
-                    continue
-                image = list(root)
-                image[j] -= pairing
-                image_t = tuple(image)
-                if image_t not in found:
-                    found.add(image_t)
-                    nxt.append(image_t)
-        frontier = nxt
-    return sorted(found)
+    layer = {
+        tuple(1 if k == i else 0 for k in range(r)): tuple(cartan[i]) for i in range(r)
+    }
+    found = set(layer)
+    while layer:
+        nxt: dict[Root, tuple[int, ...]] = {}
+        for root, pairing in layer.items():
+            for j, n in enumerate(pairing):
+                if n >= 0:
+                    below = root[j] - n - 1
+                    if below < 0 or root[:j] + (below,) + root[j + 1 :] not in found:
+                        continue
+                up = root[:j] + (root[j] + 1,) + root[j + 1 :]
+                if up not in nxt:
+                    nxt[up] = tuple(map(add, pairing, cartan[j]))
+        found.update(nxt)
+        layer = nxt
+    return list(found)
 
 
 def build_root_system(spec: Iterable[SimpleType]) -> RootSystem:
@@ -236,31 +245,35 @@ def build_root_system(spec: Iterable[SimpleType]) -> RootSystem:
     if not types:
         raise InputError("component list is empty")
     total = sum(t.rank for t in types)
-    all_roots: list[Root] = []
+    positives: list[Root] = []
+    gram = [[0] * total for _ in range(total)]
     offset = 0
     for t in types:
         comp = _component_roots(t.cartan_matrix())
-        if len(comp) != t.root_count:
+        if 2 * len(comp) != t.root_count:
             raise AssertionError(
-                f"{t.letter}{t.rank}: generated {len(comp)} roots, "
+                f"{t.letter}{t.rank}: generated {2 * len(comp)} roots, "
                 f"expected {t.root_count}"
             )
         pad_left = (0,) * offset
         pad_right = (0,) * (total - offset - t.rank)
-        all_roots.extend(pad_left + c + pad_right for c in comp)
+        positives.extend(pad_left + c + pad_right for c in comp)
+        # A root and its negative add the same c c^T: twice the positive sum.
+        cols = list(zip(*comp))
+        for a, ca in enumerate(cols):
+            for b in range(a, t.rank):
+                i, j = offset + a, offset + b
+                gram[i][j] = gram[j][i] = 2 * sum(map(mul, ca, cols[b]))
         offset += t.rank
-    all_roots.sort()
-    positive = tuple(all(c >= 0 for c in root) for root in all_roots)
-    gram = [[0] * total for _ in range(total)]
-    for root in all_roots:
-        support = [(i, c) for i, c in enumerate(root) if c]
-        for i, ci in support:
-            for j, cj in support:
-                gram[i][j] += ci * cj
+    # A root's coefficients share one sign, so every negative root sorts
+    # before every positive one, and negation reverses the order.
+    positives.sort()
+    negatives = [tuple(map(neg, c)) for c in reversed(positives)]
+    half = len(positives)
     return RootSystem(
         components=types,
-        roots=tuple(all_roots),
-        positive=positive,
+        roots=tuple(negatives + positives),
+        positive=(False,) * half + (True,) * half,
         gram=tuple(tuple(row) for row in gram),
     )
 

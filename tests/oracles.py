@@ -1,9 +1,11 @@
 """Independent oracles used by the tests.
 
-The root-system oracle enumerates classical roots directly in the
-orthogonal-coordinate model, bypassing reflection closure; the polytope
-oracle enumerates vertices of {u : <u, ray> >= -1} by intersecting
-subsets of boundary hyperplanes, bypassing the fixed-point method.
+Two root-system oracles stand apart from the height-by-height construction
+of rootsys: the classical roots enumerated directly in the
+orthogonal-coordinate model, and the whole root system built by closing
+the simple roots under the simple reflections.  The polytope oracle
+enumerates vertices of {u : <u, ray> >= -1} by intersecting subsets of
+boundary hyperplanes, bypassing the fixed-point method.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from fanotoric import _linalg
+from fanotoric import RootSystem, _linalg
 
 
 def simple_roots_e(letter: str, rank: int) -> list[tuple[int, ...]]:
@@ -108,3 +110,50 @@ def halfspace_vertices(rays, dim) -> frozenset[tuple[Fraction, ...]]:
         ):
             found.add(tuple(u))
     return frozenset(found)
+
+
+def reflection_closure(cartan) -> list[tuple[int, ...]]:
+    """All roots of one simple type, by closing its base under the simple
+    reflections s_j(beta) = beta - <beta, alpha_j^check> alpha_j, sorted."""
+    r = len(cartan)
+    simple = [tuple(1 if k == i else 0 for k in range(r)) for i in range(r)]
+    found = set(simple)
+    frontier = list(simple)
+    while frontier:
+        nxt = []
+        for root in frontier:
+            for j in range(r):
+                pairing = sum(c * cartan[i][j] for i, c in enumerate(root))
+                if pairing == 0:
+                    continue
+                image = list(root)
+                image[j] -= pairing
+                image = tuple(image)
+                if image not in found:
+                    found.add(image)
+                    nxt.append(image)
+        frontier = nxt
+    return sorted(found)
+
+
+def reference_root_system(types) -> RootSystem:
+    """The root system of an ordered list of simple types from the
+    reflection closure, with the Gram matrix summed over all roots."""
+    total = sum(t.rank for t in types)
+    roots = []
+    offset = 0
+    for t in types:
+        pad_left, pad_right = (0,) * offset, (0,) * (total - offset - t.rank)
+        roots.extend(pad_left + c + pad_right for c in reflection_closure(t.cartan_matrix()))
+        offset += t.rank
+    roots.sort()
+    gram = tuple(
+        tuple(sum(root[i] * root[j] for root in roots) for j in range(total))
+        for i in range(total)
+    )
+    return RootSystem(
+        components=tuple(types),
+        roots=tuple(roots),
+        positive=tuple(all(c >= 0 for c in root) for root in roots),
+        gram=gram,
+    )

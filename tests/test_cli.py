@@ -254,6 +254,23 @@ def test_scan_explosion_guard(capsys, tmp_path):
     assert time.perf_counter() - start < 5.0
 
 
+def test_scan_box_bound_past_every_range_exits_2(capsys, tmp_path):
+    # (2 * 10^800 + 1)^6 has more digits than str may print, and no range
+    # of 2 * 10^800 + 1 ints has a length: both wait for the cap check.
+    doc = {
+        "base": {"components": [{"letter": "A", "rank": 2}], "crossed": [1, 2]},
+        "fiber": {"kind": "projective_space", "dim": 3},
+        "tau": [[1, 0], [0, 1], [1, 1]],
+        "scan": {"kind": "box", "bound": 10**800},
+    }
+    code, out, err = run(capsys, "scan", write(tmp_path, doc))
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: scan would enumerate at least 10^{sys.get_int_max_str_digits()} "
+        "instances, over the cap 10000; raise it with --max\n"
+    )
+
+
 def test_oracle_flag(capsys):
     report = run_json(capsys, "check", str(CONFIGS / "hirzebruch_n1.json"), "--oracle")
     oracle = report["oracle"]

@@ -13,6 +13,7 @@ import support
 from fanotoric import (
     DomainError,
     Fan,
+    FunctionalH,
     InputError,
     Painting,
     Polytope,
@@ -25,6 +26,7 @@ from fanotoric import (
     canonical_polytope,
     chamber_margins,
     check_tau_integrality,
+    evaluate,
     express_in_zk,
     fano_check,
     fano_margins,
@@ -580,3 +582,19 @@ def test_reduced_verdict_equals_full_table(base, fiber, data):
         assert min(e.value for e in v.margins) == 0
     assert v.is_fano == (v.fiber_fano and all(e.value > 0 for e in v.margins))
     assert v.violations == tuple(e for e in v.margins if e.value <= 0)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(BASES), st.sampled_from(sorted(FIBERS)), st.data())
+def test_fano_margins_pair_each_root_at_each_pullback_point(base, fiber, data):
+    # The reference pairs every root of R_m+ with the full h_Q, one by one.
+    fan = FIBERS[fiber]
+    flag, tau = _draw_tau(data, base, fan.dim)
+    polytope = canonical_polytope(fan)
+    expected = [
+        (vi, q, root, evaluate(FunctionalH.from_root(root), pullback_point(flag, tau, q)))
+        for vi, q in enumerate(polytope.vertices)
+        for root in flag.r_m_plus
+    ]
+    entries = fano_margins(flag, tau, polytope)
+    assert [(e.vertex_index, e.vertex, e.root, e.value) for e in entries] == expected

@@ -218,7 +218,7 @@ def test_empty_painting_allowed_for_flag_queries():
     rs = build_root_system([SimpleType("A", 2)])
     flag = build_flag(rs, Painting(()))
     assert flag.r_m_plus == ()
-    assert flag.h_V.is_zero()
+    assert all(c == 0 for c in flag.h_V.coords)
     assert chamber_margins(flag, flag.h_V) == ()
 
 
@@ -248,6 +248,36 @@ def test_in_chamber_equals_all_margins_positive(base, data):
     h = VectorH(tuple(coords))
     margins = chamber_margins(flag, h)
     assert in_chamber(flag, h) == all(v > 0 for _, v in margins)
+
+
+@lru_cache(maxsize=None)
+def _multi_root_system(*types):
+    return build_root_system([SimpleType(*t) for t in types])
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    st.sampled_from(
+        [(("A", 4),), (("B", 3),), (("G", 2),), (("F", 4),), (("E", 6),),
+         (("B", 3), ("A", 2)), (("C", 3), ("G", 2), ("A", 1))]
+    ),
+    st.data(),
+)
+def test_chamber_margins_pair_each_root_as_evaluate_does(types, data):
+    # The reference pairs every root of R_m+ with h on all r coordinates,
+    # one root at a time; h's crossed coordinates may be zero or negative.
+    rs = _multi_root_system(*types)
+    crossed = data.draw(
+        st.lists(st.integers(0, rs.rank - 1), max_size=rs.rank, unique=True)
+    )
+    flag = build_flag(rs, Painting(tuple(crossed)))
+    coords = [F(0)] * rs.rank
+    for x in flag.painting.crossed:
+        coords[x] = data.draw(st.builds(F, st.integers(-5, 5), st.integers(1, 4)))
+    h = VectorH(tuple(coords))
+    assert chamber_margins(flag, h) == tuple(
+        (root, evaluate(FunctionalH.from_root(root), h)) for root in flag.r_m_plus
+    )
 
 
 def assert_h_v_is_the_killing_dual(rs, paintings):
