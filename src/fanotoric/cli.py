@@ -296,6 +296,8 @@ class Config:
             raise ConfigError("scan.kind", f"unknown scan kind {kind!r} (scale, box)")
         if "cap" in spec:
             out["cap"] = _parse_int(spec["cap"], "scan.cap")
+            if out["cap"] < 0:
+                raise ConfigError("scan.cap", "must be >= 0")
         self.scan = out
         self.echo["scan"] = out
 
@@ -366,16 +368,32 @@ def _fiber_report(fan: Fan, diag: FanDiagnostics) -> dict:
 
 
 def _margins_json(entries, vertices: list[list[str]]) -> list[dict]:
-    """Entries as report dicts; vertices[i] is vertex i, rendered once."""
-    return [
-        {
-            "vertex_index": e.vertex_index,
-            "vertex": vertices[e.vertex_index],
-            "root": list(e.root),
-            "value": _rat(e.value),
-        }
-        for e in entries
-    ]
+    """Entries as report dicts; vertices[i] is vertex i, rendered once.
+
+    Each distinct root shares one list and each distinct value one string.
+    Values are keyed by numerator and denominator: hashing a Fraction costs
+    more than writing it.
+    """
+    roots: dict[tuple, list[int]] = {}
+    values: dict[tuple[int, int], str] = {}
+    out = []
+    for e in entries:
+        root = roots.get(e.root)
+        if root is None:
+            root = roots[e.root] = list(e.root)
+        key = (e.value.numerator, e.value.denominator)
+        value = values.get(key)
+        if value is None:
+            value = values[key] = _rat(e.value)
+        out.append(
+            {
+                "vertex_index": e.vertex_index,
+                "vertex": vertices[e.vertex_index],
+                "root": root,
+                "value": value,
+            }
+        )
+    return out
 
 
 def _oracle_report(
@@ -579,6 +597,8 @@ def cmd_scan(cfg: Config, cap_override: int | None) -> dict:
     base_tau = _build_tau(cfg)
     if cfg.scan is None:
         raise ConfigError("scan", "missing required field")
+    if cap_override is not None and cap_override < 0:
+        raise ConfigError("--max", "must be >= 0")
     cap = cap_override if cap_override is not None else cfg.scan.get("cap", DEFAULT_SCAN_CAP)
     if cfg.scan["kind"] == "scale":
         lo, hi = cfg.scan["range"]
@@ -610,6 +630,82 @@ def cmd_scan(cfg: Config, cap_override: int | None) -> dict:
     }
 
 
+# json's string encoder under its default ensure_ascii=True.
+_json_str = json.encoder.encode_basestring_ascii
+# The text json writes for each leaf type a report holds, floats aside.
+# bool is its own type here, so True and 1 never share a memo key.
+_LEAF_TEXT = {
+    str: _json_str,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _json_text(report: Any) -> str:
+    """json.dumps(report, sort_keys=True, indent=2), byte for byte.
+
+    With indent set, json gives up its C encoder for a Python one. This
+    writer keeps json's text for dicts with str keys, lists, str, bool, int,
+    None and float, and writes each list of leaves of one type once per
+    content and depth. Floats and any other leaf go to json itself, so NaN,
+    Infinity and -0.0 stay json's own.
+    """
+    out: list[str] = []
+    by_content: dict[tuple, str] = {}
+    # A list met again as the same object skips the content key; the entry
+    # holds the list, so its id cannot pass to another object meanwhile.
+    by_object: dict[tuple[int, int], tuple[list, str]] = {}
+
+    def write(v: Any, depth: int) -> None:
+        leaf = _LEAF_TEXT.get(type(v))
+        if leaf is not None:
+            out.append(leaf(v))
+        elif isinstance(v, dict):
+            if not v:
+                out.append("{}")
+                return
+            inner = "\n" + "  " * (depth + 1)
+            head = "{" + inner
+            for key in sorted(v):
+                out.append(head + _json_str(key) + ": ")
+                write(v[key], depth + 1)
+                head = "," + inner
+            out.append("\n" + "  " * depth + "}")
+        elif isinstance(v, (list, tuple)):
+            if not v:
+                out.append("[]")
+                return
+            seen = by_object.get((id(v), depth))
+            if seen is not None and seen[0] is v:
+                out.append(seen[1])
+                return
+            inner = "\n" + "  " * (depth + 1)
+            close = "\n" + "  " * depth + "]"
+            kind = type(v[0])
+            leaf = _LEAF_TEXT.get(kind)
+            if leaf is not None and all(type(x) is kind for x in v):
+                key = (depth, kind, tuple(v))
+                text = by_content.get(key)
+                if text is None:
+                    text = "[" + inner + ("," + inner).join(map(leaf, v)) + close
+                    by_content[key] = text
+                by_object[id(v), depth] = (v, text)
+                out.append(text)
+                return
+            head = "[" + inner
+            for x in v:
+                out.append(head)
+                write(x, depth + 1)
+                head = "," + inner
+            out.append(close)
+        else:
+            out.append(json.dumps(v))
+
+    write(report, 0)
+    return "".join(out)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fanotoric",
@@ -634,8 +730,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         text = Path(args.config).read_text(encoding="utf-8")
     except OSError as exc:
@@ -666,7 +765,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.json:
-        print(json.dumps(report, sort_keys=True, indent=2))
+        print(_json_text(report))
     else:
         print("\n".join(_human_lines(report)))
     return 0

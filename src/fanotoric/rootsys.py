@@ -144,17 +144,8 @@ class VectorH:
         object.__setattr__(self, "coords", tuple(Fraction(c) for c in self.coords))
 
     @classmethod
-    def zero(cls, rank: int) -> "VectorH":
-        return cls((Fraction(0),) * rank)
-
-    @classmethod
     def unit(cls, rank: int, index: int) -> "VectorH":
         return cls(tuple(Fraction(1 if i == index else 0) for i in range(rank)))
-
-    def __add__(self, other: "VectorH") -> "VectorH":
-        if len(self.coords) != len(other.coords):
-            raise InputError("rank mismatch")
-        return VectorH(tuple(a + b for a, b in zip(self.coords, other.coords)))
 
     def __mul__(self, k: Fraction | int) -> "VectorH":
         k = Fraction(k)

@@ -13,7 +13,17 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from fanotoric import RootSystem, _linalg
+from fanotoric import RootSystem, VectorH, _linalg
+
+
+def coordinate_sum(rank: int, terms) -> VectorH:
+    """The sum of c * v over the (c, v) pairs in terms, coordinate by
+    coordinate; the zero vector of the rank when terms is empty."""
+    total = [Fraction(0)] * rank
+    for c, v in terms:
+        assert len(v.coords) == rank, "rank mismatch"
+        total = [t + c * x for t, x in zip(total, v.coords)]
+    return VectorH(tuple(total))
 
 
 def simple_roots_e(letter: str, rank: int) -> list[tuple[int, ...]]:

@@ -189,7 +189,10 @@ def test_criterion_7_invariance_properties():
             continue
         changes += 1
         new_basis = tuple(
-            s[0][j] * tau.basis[0] + s[1][j] * tau.basis[1] for j in range(2)
+            oracles.coordinate_sum(
+                flag.rs.rank, [(s[0][j], tau.basis[0]), (s[1][j], tau.basis[1])]
+            )
+            for j in range(2)
         )
         new_matrix = tuple(
             tuple(sum(tau.matrix[i][a] * s[a][j] for a in range(2)) for j in range(2))

@@ -1,10 +1,13 @@
 import json
+import math
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fanotoric
 from fanotoric import cli
@@ -271,6 +274,26 @@ def test_scan_box_bound_past_every_range_exits_2(capsys, tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "scan, extra, message",
+    [
+        pytest.param(
+            {"kind": "scale", "range": [1, 3], "cap": -1}, [], "scan.cap", id="cap"
+        ),
+        pytest.param({"kind": "box", "bound": -1}, [], "scan.bound", id="bound"),
+        pytest.param(
+            {"kind": "scale", "range": [1, 3]}, ["--max", "-1"], "--max", id="max"
+        ),
+    ],
+)
+def test_negative_scan_limits_exit_2_naming_the_field(
+    capsys, tmp_path, scan, extra, message
+):
+    path = write(tmp_path, {**hirzebruch_doc(1), "scan": scan})
+    expected = (2, "", f"error: {message}: must be >= 0\n")
+    assert run(capsys, "scan", path, *extra) == expected
+
+
 def test_oracle_flag(capsys):
     report = run_json(capsys, "check", str(CONFIGS / "hirzebruch_n1.json"), "--oracle")
     oracle = report["oracle"]
@@ -528,3 +551,81 @@ def test_boundary_scans_agree_with_check(
         if entry["k"] == zero_at:
             assert not check["verdict"]["is_fano"]
             assert any(e["value"] == "0" for e in check["margins"])
+
+
+def _dumps(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2)
+
+
+# Quotes, backslashes, control characters, non-ASCII (a lone surrogate
+# too), commas and brackets, beside whatever else hypothesis draws.
+_TEXT = st.text(
+    st.one_of(
+        st.sampled_from('"\\\x00\x1f\x7f\n\t,[]{}: \xe9\u20ac\U0001f600\ud800'),
+        st.characters(),
+    ),
+    max_size=6,
+)
+_LEAF_LISTS = st.one_of(
+    st.lists(st.sampled_from([True, False, 0, 1]), max_size=4),
+    st.lists(st.integers(0, 1), max_size=3),
+    st.lists(st.booleans(), max_size=3),
+    st.lists(_TEXT, max_size=3),
+    st.lists(st.sampled_from([0.0, -0.0, 1e300, math.nan, -math.inf]), max_size=3),
+)
+_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.sampled_from([-0.0, 1e300, math.nan, math.inf, -math.inf]),
+    _TEXT,
+    _LEAF_LISTS,
+)
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4), st.dictionaries(_TEXT, children, max_size=4)
+    ),
+    max_leaves=16,
+)
+
+
+@st.composite
+def _json_values(draw):
+    """A value beside one leaf list met again at several depths, nested five
+    to eight levels deep, both as the same object and as a copy."""
+    shared = draw(_LEAF_LISTS)
+    nested = draw(_VALUES)
+    for level in range(draw(st.integers(5, 8))):
+        nested = {"copy": list(shared), "in": nested} if level % 2 else [shared, nested]
+    return [shared, nested, {"copy": list(shared), "empty": [{}, []]}]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values())
+@example([[1], [True], {"a": [1], "b": [True, 1]}, [[True]], [[1]], [[1, True]]])
+@example([[0.0], [-0.0], [[0.0]], [[-0.0]], [{}], {"": []}])
+def test_json_writer_equals_json_dumps(value):
+    assert cli._json_text(value) == _dumps(value)
+
+
+@pytest.mark.parametrize("oracle", [[], ["--oracle"]], ids=["plain", "oracle"])
+@pytest.mark.parametrize("command", ["check", "polytope", "flag-info", "scan"])
+@pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+def test_json_stdout_is_json_dumps_of_the_report(
+    capsys, monkeypatch, config, command, oracle
+):
+    reports = []
+    writer = cli._json_text
+
+    def spy(report):
+        reports.append(report)
+        return writer(report)
+
+    monkeypatch.setattr(cli, "_json_text", spy)
+    code, out, _ = run(capsys, command, str(config), "--json", *oracle)
+    if code == 0:
+        assert out == _dumps(reports[0]) + "\n"
+    else:
+        assert (code, out, reports) == (2, "", [])

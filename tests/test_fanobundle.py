@@ -159,7 +159,10 @@ def test_basis_change_invariance():
     for _ in range(10):
         s = _random_invertible(rng, 2)
         new_basis = tuple(
-            s[0][j] * basis[0] + s[1][j] * basis[1] for j in range(2)
+            oracles.coordinate_sum(
+                flag.rs.rank, [(s[0][j], basis[0]), (s[1][j], basis[1])]
+            )
+            for j in range(2)
         )
         new_matrix = tuple(
             tuple(
@@ -486,7 +489,8 @@ def _draw_tau(data, base, m):
     scales = data.draw(st.lists(st.sampled_from((1, F(1, 2), 2, 3)), min_size=k, max_size=k))
     default = flag.zk_basis_default
     basis = tuple(
-        sum((u[a][j] * default[a] for a in range(k)), VectorH.zero(rs.rank)) * scales[j]
+        oracles.coordinate_sum(rs.rank, [(u[a][j], default[a]) for a in range(k)])
+        * scales[j]
         for j in range(k)
     )
     matrix = data.draw(
@@ -511,7 +515,7 @@ def test_pullback_against_killing_form_oracle(base, data):
     for q in points:
         h = pullback_point(flag, tau, q)
         assert flag.in_zk(h)
-        shift = h + (-1) * flag.h_V
+        shift = oracles.coordinate_sum(rs.rank, [(1, h), (-1, flag.h_V)])
         for j, b in enumerate(basis):
             pulled = sum((q[i] * tau.matrix[i][j] for i in range(m)), F(0))
             assert rs.killing_form(shift, b) == pulled
@@ -524,7 +528,7 @@ def test_pullback_against_killing_form_oracle(base, data):
     # Integrality against the solve over the declared basis, then tau c.
     k = len(basis)
     gens = [
-        sum((c * b for c, b in zip(coeffs, basis)), VectorH.zero(rs.rank))
+        oracles.coordinate_sum(rs.rank, list(zip(coeffs, basis)))
         for coeffs in data.draw(
             st.lists(
                 st.lists(st.one_of(st.integers(-3, 3), RATIONAL), min_size=k, max_size=k),

@@ -120,7 +120,7 @@ def test_chamber_margins_rejects_vectors_outside_zk():
 
 def test_zero_vector_not_in_chamber():
     flag = d_flag(4, (1,))
-    zero = VectorH.zero(4)
+    zero = oracles.coordinate_sum(4, [])
     margins = chamber_margins(flag, zero)
     assert all(v == 0 for _, v in margins)
     assert not in_chamber(flag, zero)
@@ -130,7 +130,8 @@ def test_express_in_zk_default_basis():
     flag = d_flag(4, (0, 2))
     h = flag.zk_basis_default[0]
     assert express_in_zk(flag, h, flag.zk_basis_default) == (F(1), F(0))
-    assert express_in_zk(flag, VectorH.zero(4), flag.zk_basis_default) == (F(0), F(0))
+    zero = oracles.coordinate_sum(4, [])
+    assert express_in_zk(flag, zero, flag.zk_basis_default) == (F(0), F(0))
 
 
 def test_express_in_zk_d10_paired_basis():
