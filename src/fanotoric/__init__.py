@@ -16,18 +16,13 @@ from .flagbase import (
     Painting,
     build_flag,
     chamber_margins,
-    express_in_zk,
     in_chamber,
 )
 from .rootsys import (
-    FunctionalH,
     RootSystem,
     SimpleType,
     VectorH,
     build_root_system,
-    diagram_automorphisms,
-    evaluate,
-    killing_dual,
 )
 from .toricfiber import (
     Fan,
@@ -50,7 +45,6 @@ __all__ = [
     "FanDiagnostics",
     "FanoVerdict",
     "FlagManifold",
-    "FunctionalH",
     "MarginEntry",
     "Painting",
     "Polytope",
@@ -63,14 +57,10 @@ __all__ = [
     "canonical_polytope",
     "chamber_margins",
     "check_tau_integrality",
-    "diagram_automorphisms",
-    "evaluate",
-    "express_in_zk",
     "fano_check",
     "fano_margins",
     "in_chamber",
     "is_fano",
-    "killing_dual",
     "point_fan",
     "product",
     "projective_space",

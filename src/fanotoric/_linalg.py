@@ -8,10 +8,6 @@ from typing import Sequence
 Row = Sequence[Fraction | int]
 
 
-class RankDeficiencyError(ArithmeticError):
-    """The coefficient columns are linearly dependent."""
-
-
 def _reduce(
     rows: Sequence[Row], rhs: Sequence[Row] = ()
 ) -> tuple[list[list[Fraction]], int, Fraction]:
@@ -48,38 +44,8 @@ def _reduce(
     return a, rank, det
 
 
-def solve_square(rows: Sequence[Row], rhs: Row) -> tuple[Fraction, ...]:
-    """Solve a nonsingular square system by Gauss-Jordan elimination."""
-    n = len(rows)
-    a, rank, _ = _reduce(rows, (rhs,))
-    if rank < n:
-        raise RankDeficiencyError("singular matrix")
-    return tuple(a[i][n] for i in range(n))
-
-
-def solve_consistent(rows: Sequence[Row], rhs: Row) -> tuple[Fraction, ...] | None:
-    """Solve a tall system with independent columns exactly.
-
-    Returns None when the system is inconsistent; raises
-    RankDeficiencyError when the columns are dependent.
-    """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    a, rank, _ = _reduce(rows, (rhs,))
-    if rank < n:
-        raise RankDeficiencyError("dependent columns")
-    if any(a[i][n] != 0 for i in range(n, m)):
-        return None
-    return tuple(a[i][n] for i in range(n))
-
-
 def matrix_rank(rows: Sequence[Row]) -> int:
     return _reduce(rows)[1]
-
-
-def determinant(rows: Sequence[Row]) -> Fraction:
-    _, rank, det = _reduce(rows)
-    return det if rank == len(rows) else Fraction(0)
 
 
 def invert(rows: Sequence[Row]) -> tuple[Fraction, list[list[Fraction]]]:

@@ -190,6 +190,8 @@ class Config:
                 raise ConfigError(
                     path, f"node index {idx} out of range 1..{total}"
                 )
+            if idx - 1 in crossed:
+                raise ConfigError(path, f"node {idx} repeated")
             crossed.append(idx - 1)
         self.crossed = crossed
         self.echo["base"] = {
@@ -441,9 +443,9 @@ def _oracle_report(
     }
 
 
-def _margin_line(e: dict) -> str:
-    vertex = ", ".join(e["vertex"])
-    return f"  vertex {e['vertex_index']} [{vertex}] root {e['root']} -> {e['value']}"
+def _margin_line(e: dict, vertices: list[str]) -> str:
+    i = e["vertex_index"]
+    return f"  vertex {i} [{vertices[i]}] root {e['root']} -> {e['value']}"
 
 
 def _human_lines(report: dict) -> list[str]:
@@ -474,10 +476,12 @@ def _human_lines(report: dict) -> list[str]:
         lines.append("== verdict ==")
         lines.append(f"fiber fano: {'yes' if v['fiber_fano'] else 'no'}")
         lines.append(f"is fano: {'yes' if v['is_fano'] else 'no'}")
+        # Each vertex is joined once; entries name it by vertex_index.
+        vertices = [", ".join(q) for q in report["fiber"]["polytope_vertices"]]
         lines.append("margins:")
-        lines.extend([_margin_line(e) for e in report["margins"]] or ["  (none)"])
+        lines.extend([_margin_line(e, vertices) for e in report["margins"]] or ["  (none)"])
         lines.append("violations:" if report["violations"] else "violations: (none)")
-        lines.extend(_margin_line(e) for e in report["violations"])
+        lines.extend(_margin_line(e, vertices) for e in report["violations"])
         if "tau_integrality" in report:
             value = report["tau_integrality"]
             text = "not checked" if value == "not checked" else ("yes" if value else "no")
@@ -533,7 +537,8 @@ def cmd_check(cfg: Config, oracle: bool) -> dict:
             "is_fano": verdict.is_fano,
         },
         "margins": margins,
-        "violations": [d for d, e in zip(margins, verdict.margins) if e.value <= 0],
+        # The denominator is positive: the numerator carries the sign.
+        "violations": [d for d, e in zip(margins, verdict.margins) if e.value.numerator <= 0],
         "tau_integrality": "not checked" if integrality is None else integrality,
         "warnings": warnings,
     }

@@ -158,26 +158,3 @@ def in_chamber(flag: FlagManifold, h: VectorH) -> bool:
 def _require_zk(flag: FlagManifold, h: VectorH) -> None:
     if not flag.in_zk(h):
         raise DomainError("h is not in z(k): nonzero evaluation on an uncrossed node")
-
-
-def express_in_zk(
-    flag: FlagManifold, h: VectorH, basis: Sequence[VectorH]
-) -> tuple[Fraction, ...]:
-    """Coefficients of h over a declared basis of z(k), exact."""
-    if not basis:
-        raise InputError("empty basis")
-    for b in basis:
-        if not flag.in_zk(b):
-            raise DomainError("basis vector is not in z(k)")
-    if not flag.in_zk(h):
-        raise DomainError("h is outside the span of the basis")
-    crossed = flag.painting.crossed
-    rows = [[b.coords[i] for b in basis] for i in crossed]
-    rhs = [h.coords[i] for i in crossed]
-    try:
-        coeffs = _linalg.solve_consistent(rows, rhs)
-    except _linalg.RankDeficiencyError:
-        raise InputError("dependent basis") from None
-    if coeffs is None:
-        raise DomainError("h is outside the span of the basis")
-    return coeffs

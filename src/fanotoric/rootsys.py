@@ -28,7 +28,6 @@ from fractions import Fraction
 from operator import add, mul, neg
 from typing import Iterable, Sequence
 
-from . import _linalg
 from .errors import InputError
 
 Root = tuple[int, ...]
@@ -111,29 +110,6 @@ class SimpleType:
         return tuple(tuple(row) for row in a)
 
 
-def diagram_automorphisms(t: SimpleType) -> tuple[tuple[int, ...], ...]:
-    """Generators of the nontrivial diagram symmetries of a simple type.
-
-    Each generator is a node permutation p with image p[i]; types without
-    outer symmetries yield an empty tuple.
-    """
-    r = t.rank
-    gens: list[tuple[int, ...]] = []
-    if t.letter == "A" and r >= 2:
-        gens.append(tuple(reversed(range(r))))
-    elif t.letter == "D":
-        swap = list(range(r))
-        swap[r - 2], swap[r - 1] = swap[r - 1], swap[r - 2]
-        gens.append(tuple(swap))
-        if r == 4:
-            tri = list(range(4))
-            tri[0], tri[2] = tri[2], tri[0]
-            gens.append(tuple(tri))
-    elif t.letter == "E" and r == 6:
-        gens.append((5, 1, 4, 3, 2, 0))
-    return tuple(gens)
-
-
 @dataclass(frozen=True)
 class VectorH:
     """Element of the real Cartan subspace, in simple-root evaluations."""
@@ -146,26 +122,6 @@ class VectorH:
     @classmethod
     def unit(cls, rank: int, index: int) -> "VectorH":
         return cls(tuple(Fraction(1 if i == index else 0) for i in range(rank)))
-
-    def __mul__(self, k: Fraction | int) -> "VectorH":
-        k = Fraction(k)
-        return VectorH(tuple(k * c for c in self.coords))
-
-    __rmul__ = __mul__
-
-
-@dataclass(frozen=True)
-class FunctionalH:
-    """Functional on the Cartan subspace, in simple-root coefficients."""
-
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
-
-    @classmethod
-    def from_root(cls, root: Root) -> "FunctionalH":
-        return cls(tuple(Fraction(c) for c in root))
 
 
 @dataclass(frozen=True)
@@ -184,17 +140,6 @@ class RootSystem:
     @property
     def rank(self) -> int:
         return sum(t.rank for t in self.components)
-
-    def killing_form(self, h1: VectorH, h2: VectorH) -> Fraction:
-        if len(h1.coords) != self.rank or len(h2.coords) != self.rank:
-            raise InputError("rank mismatch")
-        total = Fraction(0)
-        for gi, x in zip(self.gram, h1.coords):
-            if x:
-                total += x * sum(
-                    (g * y for g, y in zip(gi, h2.coords) if y), Fraction(0)
-                )
-        return total
 
 
 def _component_roots(cartan: Sequence[Sequence[int]]) -> list[Root]:
@@ -266,24 +211,4 @@ def build_root_system(spec: Iterable[SimpleType]) -> RootSystem:
         roots=tuple(negatives + positives),
         positive=(False,) * half + (True,) * half,
         gram=tuple(tuple(row) for row in gram),
-    )
-
-
-def killing_dual(rs: RootSystem, functional: FunctionalH) -> VectorH:
-    """The unique h with B(h, .) = functional, by one exact r x r solve.
-
-    build_flag finds h_V on the crossed block alone; this full solve is the
-    reference the tests hold it to.
-    """
-    if len(functional.coeffs) != rs.rank:
-        raise InputError("rank mismatch")
-    return VectorH(_linalg.solve_square(rs.gram, functional.coeffs))
-
-
-def evaluate(functional: FunctionalH, h: VectorH) -> Fraction:
-    """Pairing of a functional with a Cartan element in these coordinates."""
-    if len(functional.coeffs) != len(h.coords):
-        raise InputError("rank mismatch")
-    return sum(
-        (c * x for c, x in zip(functional.coeffs, h.coords)), Fraction(0)
     )

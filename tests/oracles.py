@@ -6,11 +6,16 @@ orthogonal-coordinate model, and the whole root system built by closing
 the simple roots under the simple reflections.  The polytope oracle
 enumerates vertices of {u : <u, ray> >= -1} by intersecting subsets of
 boundary hyperplanes, bypassing the fixed-point method.
+
+The Killing form, the Killing dual over the full r x r Gram matrix, the
+root pairing and the diagram automorphisms are the references the engine's
+crossed-block computations are held to; the engine itself runs none of them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from fanotoric import RootSystem, VectorH, _linalg
@@ -24,6 +29,54 @@ def coordinate_sum(rank: int, terms) -> VectorH:
         assert len(v.coords) == rank, "rank mismatch"
         total = [t + c * x for t, x in zip(total, v.coords)]
     return VectorH(tuple(total))
+
+
+def pair(coeffs, h: VectorH) -> Fraction:
+    """alpha(h) for the functional alpha with these simple-root coefficients."""
+    return sum((c * x for c, x in zip(coeffs, h.coords)), Fraction(0))
+
+
+def killing_form(rs: RootSystem, h1: VectorH, h2: VectorH) -> Fraction:
+    """B(h1, h2) = h1^T gram h2 in evaluation coordinates."""
+    return sum(
+        (x * g * y for gi, x in zip(rs.gram, h1.coords) for g, y in zip(gi, h2.coords)),
+        Fraction(0),
+    )
+
+
+@lru_cache(maxsize=None)
+def _gram_inverse(gram) -> list[list[Fraction]]:
+    return _linalg.invert(gram)[1]
+
+
+def killing_dual(rs: RootSystem, coeffs) -> VectorH:
+    """The h with B(h, .) equal to the functional with these simple-root
+    coefficients: gram^-1 coeffs over the full r x r Gram matrix."""
+    rows = _gram_inverse(rs.gram)
+    return VectorH(tuple(sum(g * c for g, c in zip(row, coeffs)) for row in rows))
+
+
+def diagram_automorphisms(t) -> tuple[tuple[int, ...], ...]:
+    """Generators of the nontrivial diagram symmetries of a simple type.
+
+    Each generator is a node permutation p with image p[i]; types without
+    outer symmetries yield an empty tuple.
+    """
+    r = t.rank
+    gens: list[tuple[int, ...]] = []
+    if t.letter == "A" and r >= 2:
+        gens.append(tuple(reversed(range(r))))
+    elif t.letter == "D":
+        swap = list(range(r))
+        swap[r - 2], swap[r - 1] = swap[r - 1], swap[r - 2]
+        gens.append(tuple(swap))
+        if r == 4:
+            tri = list(range(4))
+            tri[0], tri[2] = tri[2], tri[0]
+            gens.append(tuple(tri))
+    elif t.letter == "E" and r == 6:
+        gens.append((5, 1, 4, 3, 2, 0))
+    return tuple(gens)
 
 
 def simple_roots_e(letter: str, rank: int) -> list[tuple[int, ...]]:
@@ -110,11 +163,11 @@ def halfspace_vertices(rays, dim) -> frozenset[tuple[Fraction, ...]]:
         return frozenset({()})
     found = set()
     for sub in combinations(range(len(rays)), dim):
-        rows = [rays[i] for i in sub]
-        try:
-            u = _linalg.solve_square(rows, [-1] * dim)
-        except _linalg.RankDeficiencyError:
+        det, inverse = _linalg.invert([rays[i] for i in sub])
+        if det == 0:
             continue
+        # u solves rows u = (-1, ..., -1): minus the row sums of the inverse.
+        u = [-sum(row) for row in inverse]
         if all(
             sum(Fraction(x) * c for x, c in zip(u, ray)) >= -1 for ray in rays
         ):

@@ -317,6 +317,17 @@ def test_bad_crossed_index_names_field(capsys, tmp_path):
     assert "base.crossed[0]" in err
 
 
+def test_repeated_crossed_node_names_field(capsys, tmp_path):
+    # Without the check the duplicate was dropped and this two-column tau
+    # failed on its width instead.
+    doc = hirzebruch_doc(1)
+    doc["base"]["crossed"] = [1, 1]
+    doc["tau"] = [[1, 1]]
+    code, out, err = run(capsys, "check", write(tmp_path, doc))
+    assert (code, out) == (2, "")
+    assert err == "error: base.crossed[1]: node 1 repeated\n"
+
+
 def test_bad_rational_names_field(capsys, tmp_path):
     doc = hirzebruch_doc(1)
     doc["tau"] = [["1/0"]]

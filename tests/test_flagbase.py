@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import oracles
 from fanotoric import (
     DomainError,
-    FunctionalH,
     InputError,
     Painting,
     SimpleType,
@@ -18,10 +17,7 @@ from fanotoric import (
     build_flag,
     build_root_system,
     chamber_margins,
-    evaluate,
-    express_in_zk,
     in_chamber,
-    killing_dual,
 )
 
 
@@ -103,10 +99,10 @@ def test_r_o_closed_under_negation_and_reflection():
     for a in r_o:
         assert tuple(-c for c in a) in r_o
     for a in r_o:
-        ha = killing_dual(rs, FunctionalH.from_root(a))
-        norm = evaluate(FunctionalH.from_root(a), ha)
+        ha = oracles.killing_dual(rs, a)
+        norm = oracles.pair(a, ha)
         for b in r_o:
-            pairing = 2 * evaluate(FunctionalH.from_root(b), ha) / norm
+            pairing = 2 * oracles.pair(b, ha) / norm
             image = tuple(cb - pairing * ca for ca, cb in zip(a, b))
             assert image in r_o
 
@@ -124,56 +120,6 @@ def test_zero_vector_not_in_chamber():
     margins = chamber_margins(flag, zero)
     assert all(v == 0 for _, v in margins)
     assert not in_chamber(flag, zero)
-
-
-def test_express_in_zk_default_basis():
-    flag = d_flag(4, (0, 2))
-    h = flag.zk_basis_default[0]
-    assert express_in_zk(flag, h, flag.zk_basis_default) == (F(1), F(0))
-    zero = oracles.coordinate_sum(4, [])
-    assert express_in_zk(flag, zero, flag.zk_basis_default) == (F(0), F(0))
-
-
-def test_express_in_zk_d10_paired_basis():
-    # E1 = sum of the first n orthogonal duals, E2 = sum of the rest.
-    n = 5
-    flag = d_flag(2 * n, (n - 1, 2 * n - 1))
-    simple = oracles.simple_roots_e("D", 2 * n)
-    e1 = VectorH(
-        tuple(F(sum(simple[i][k] for k in range(n))) for i in range(2 * n))
-    )
-    e2 = VectorH(
-        tuple(F(sum(simple[i][k] for k in range(n, 2 * n))) for i in range(2 * n))
-    )
-    assert express_in_zk(flag, e1, flag.zk_basis_default) == (F(1), F(0))
-    assert express_in_zk(flag, e2, flag.zk_basis_default) == (F(-1), F(2))
-    # Round trip through the declared pair; h_V puts the large weight on
-    # the block carrying the positive difference roots.
-    assert express_in_zk(flag, e1, [e1, e2]) == (F(1), F(0))
-    assert express_in_zk(flag, flag.h_V, [e1, e2]) == (
-        F(3 * n - 1, 4 * (2 * n - 1)),
-        F(n - 1, 4 * (2 * n - 1)),
-    )
-
-
-def test_express_in_zk_dependent_basis_rejected():
-    flag = d_flag(4, (0, 2))
-    b = flag.zk_basis_default[0]
-    with pytest.raises(InputError):
-        express_in_zk(flag, b, [b, 2 * b])
-
-
-def test_express_in_zk_outside_span_rejected():
-    flag = d_flag(4, (0, 2))
-    b0, b1 = flag.zk_basis_default
-    with pytest.raises(DomainError):
-        express_in_zk(flag, b1, [b0])
-
-
-def test_express_in_zk_rejects_basis_outside_zk():
-    flag = d_flag(4, (0, 2))
-    with pytest.raises(DomainError):
-        express_in_zk(flag, flag.zk_basis_default[0], [VectorH.unit(4, 1)])
 
 
 def test_margin_multiset_invariant_under_fixing_automorphism():
@@ -277,17 +223,17 @@ def test_chamber_margins_pair_each_root_as_evaluate_does(types, data):
         coords[x] = data.draw(st.builds(F, st.integers(-5, 5), st.integers(1, 4)))
     h = VectorH(tuple(coords))
     assert chamber_margins(flag, h) == tuple(
-        (root, evaluate(FunctionalH.from_root(root), h)) for root in flag.r_m_plus
+        (root, oracles.pair(root, h)) for root in flag.r_m_plus
     )
 
 
 def assert_h_v_is_the_killing_dual(rs, paintings):
-    # killing_dual solves the full r x r Gram system, the reference for the
-    # crossed-block solve in build_flag.
+    # oracles.killing_dual inverts the full r x r Gram matrix, the reference
+    # for the crossed-block solve in build_flag.
     for crossed in paintings:
         flag = build_flag(rs, Painting(tuple(crossed)))
         total = [sum(root[j] for root in flag.r_m_plus) for j in range(rs.rank)]
-        assert flag.h_V == killing_dual(rs, FunctionalH(tuple(total))), crossed
+        assert flag.h_V == oracles.killing_dual(rs, total), crossed
 
 
 def at_most_two_nodes(rank):
