@@ -5,11 +5,7 @@ from .fanobundle import (
     FanoVerdict,
     MarginEntry,
     TauMap,
-    check_tau_integrality,
     fano_check,
-    fano_margins,
-    pullback_point,
-    tau_is_surjective,
 )
 from .flagbase import (
     FlagManifold,
@@ -56,15 +52,11 @@ __all__ = [
     "build_root_system",
     "canonical_polytope",
     "chamber_margins",
-    "check_tau_integrality",
     "fano_check",
-    "fano_margins",
     "in_chamber",
     "is_fano",
     "point_fan",
     "product",
     "projective_space",
-    "pullback_point",
-    "tau_is_surjective",
     "validate_fan",
 ]

@@ -19,13 +19,7 @@ from pathlib import Path
 from typing import Any, Iterator
 
 from .errors import DomainError, InputError
-from .fanobundle import (
-    TauMap,
-    check_tau_integrality,
-    fano_check,
-    fano_scan,
-    tau_is_surjective,
-)
+from .fanobundle import TauMap, fano_check, fano_scan
 from .flagbase import FlagManifold, Painting, build_flag, chamber_margins, in_chamber
 from .rootsys import SimpleType, VectorH, build_root_system
 from .toricfiber import (
@@ -42,6 +36,9 @@ DEFAULT_SCAN_CAP = 10000
 # Deepest product nesting a fiber may have; deeper configs exit 2 before
 # any recursion over them can reach the interpreter's limit.
 MAX_FIBER_DEPTH = 32
+# Largest projective_space fiber --oracle compares: the barycenter quadrature
+# takes 12^m nodes, about 600 MB at m = 6 and twelve times that per dimension.
+MAX_ORACLE_DIM = 6
 # The documented rational strings: an integer or p/q, with an optional sign.
 # Fraction alone would also take decimals, exponents, underscores, non-ASCII
 # digits and surrounding whitespace; "1e10000000" takes seconds to parse.
@@ -64,6 +61,13 @@ def _get(doc: dict, key: str, path: str) -> Any:
     if key not in doc:
         raise ConfigError(_join(path, key), "missing required field")
     return doc[key]
+
+
+def _require_known(doc: dict, fields: tuple[str, ...], path: str) -> None:
+    """Reject the first key of doc, in document order, that is not a field."""
+    for key in doc:
+        if key not in fields:
+            raise ConfigError(_join(path, key), "unknown field")
 
 
 def _expect_dict(value: Any, path: str) -> dict:
@@ -131,6 +135,9 @@ class Config:
 
     def __init__(self, doc: Any) -> None:
         doc = _expect_dict(doc, "config")
+        _require_known(
+            doc, ("base", "zk_basis", "fiber", "tau", "cocharacter_basis", "scan"), ""
+        )
         self.components: list[SimpleType] | None = None
         self.crossed: list[int] | None = None
         self.zk_basis: list[VectorH] | None = None
@@ -162,12 +169,14 @@ class Config:
         return sum(t.rank for t in self.components)
 
     def _parse_base(self, base: dict) -> None:
+        _require_known(base, ("components", "crossed"), "base")
         comps = []
         for i, item in enumerate(
             _expect_list(_get(base, "components", "base"), "base.components")
         ):
             path = f"base.components[{i}]"
             item = _expect_dict(item, path)
+            _require_known(item, ("letter", "rank"), path)
             letter = _get(item, "letter", path)
             rank = _parse_int(_get(item, "rank", path), _join(path, "rank"))
             if not isinstance(letter, str):
@@ -214,11 +223,13 @@ class Config:
         spec = _expect_dict(spec, path)
         kind = _get(spec, "kind", path)
         if kind == "projective_space":
+            _require_known(spec, ("kind", "dim"), path)
             dim = _parse_int(_get(spec, "dim", path), _join(path, "dim"))
             if dim < 1:
                 raise ConfigError(_join(path, "dim"), "must be >= 1")
             return {"kind": kind, "dim": dim}
         if kind == "fan":
+            _require_known(spec, ("kind", "dim", "rays", "max_cones"), path)
             rays_raw = _expect_list(_get(spec, "rays", path), _join(path, "rays"))
             rays = []
             for i, ray in enumerate(rays_raw):
@@ -248,6 +259,7 @@ class Config:
                 )
             return {"kind": kind, "dim": dim, "rays": rays, "max_cones": cones}
         if kind == "product":
+            _require_known(spec, ("kind", "parts"), path)
             # Only product nesting appends ".parts[i]" to the path.
             if path.count(".parts[") >= MAX_FIBER_DEPTH:
                 raise ConfigError(
@@ -284,6 +296,7 @@ class Config:
         kind = _get(spec, "kind", "scan")
         out: dict = {"kind": kind}
         if kind == "scale":
+            _require_known(spec, ("kind", "range", "cap"), "scan")
             rng = _expect_list(_get(spec, "range", "scan"), "scan.range")
             if len(rng) != 2:
                 raise ConfigError("scan.range", "expected [lo, hi]")
@@ -291,6 +304,7 @@ class Config:
             hi = _parse_int(rng[1], "scan.range[1]")
             out["range"] = [lo, hi]
         elif kind == "box":
+            _require_known(spec, ("kind", "bound", "cap"), "scan")
             out["bound"] = _parse_int(_get(spec, "bound", "scan"), "scan.bound")
             if out["bound"] < 0:
                 raise ConfigError("scan.bound", "must be >= 0")
@@ -401,12 +415,16 @@ def _margins_json(entries, vertices: list[list[str]]) -> list[dict]:
 def _oracle_report(
     cfg: Config, fan: Fan, poly: Polytope, warnings: list[str]
 ) -> dict | None:
-    from . import numcheck  # numpy is loaded only when --oracle asks for it
-
     if cfg.fiber_spec is None or cfg.fiber_spec.get("kind") != "projective_space":
         warnings.append("oracle: comparison available only for projective_space fibers")
         return None
     m = fan.dim
+    if m > MAX_ORACLE_DIM:
+        warnings.append(
+            f"oracle: comparison available only up to projective_space dim {MAX_ORACLE_DIM}"
+        )
+        return None
+    from . import numcheck  # numpy is loaded only when a comparison runs
     exact_match = all(
         tuple(numcheck.fixed_point_delta(m, i).values) == poly.vertices[i]
         for i in range(m + 1)
@@ -443,9 +461,20 @@ def _oracle_report(
     }
 
 
-def _margin_line(e: dict, vertices: list[str]) -> str:
-    i = e["vertex_index"]
-    return f"  vertex {i} [{vertices[i]}] root {e['root']} -> {e['value']}"
+def _margin_lines(entries: list[dict], heads: list[str], roots: dict[int, str]) -> list[str]:
+    """One line per entry; heads[i] is the text before vertex i's roots.
+
+    roots memoizes each root list's text by id: _margins_json shares one
+    list per distinct root, and the report holds every list while it prints.
+    """
+    lines = []
+    for e in entries:
+        root = e["root"]
+        text = roots.get(id(root))
+        if text is None:
+            text = roots[id(root)] = str(root)
+        lines.append(f"{heads[e['vertex_index']]}{text} -> {e['value']}")
+    return lines
 
 
 def _human_lines(report: dict) -> list[str]:
@@ -477,11 +506,15 @@ def _human_lines(report: dict) -> list[str]:
         lines.append(f"fiber fano: {'yes' if v['fiber_fano'] else 'no'}")
         lines.append(f"is fano: {'yes' if v['is_fano'] else 'no'}")
         # Each vertex is joined once; entries name it by vertex_index.
-        vertices = [", ".join(q) for q in report["fiber"]["polytope_vertices"]]
+        heads = [
+            f"  vertex {i} [{', '.join(q)}] root "
+            for i, q in enumerate(report["fiber"]["polytope_vertices"])
+        ]
+        roots: dict[int, str] = {}
         lines.append("margins:")
-        lines.extend([_margin_line(e, vertices) for e in report["margins"]] or ["  (none)"])
+        lines.extend(_margin_lines(report["margins"], heads, roots) or ["  (none)"])
         lines.append("violations:" if report["violations"] else "violations: (none)")
-        lines.extend(_margin_line(e, vertices) for e in report["violations"])
+        lines.extend(_margin_lines(report["violations"], heads, roots))
         if "tau_integrality" in report:
             value = report["tau_integrality"]
             text = "not checked" if value == "not checked" else ("yes" if value else "no")
@@ -525,7 +558,7 @@ def cmd_check(cfg: Config, oracle: bool) -> dict:
     tau = _build_tau(cfg)
     warnings: list[str] = []
     verdict = fano_check(flag, fan, tau)
-    integrality = check_tau_integrality(flag, tau, cfg.cocharacter_basis)
+    integrality = verdict.integrality(cfg.cocharacter_basis)
     fiber = _fiber_report(fan, verdict.fiber)
     margins = _margins_json(verdict.margins, fiber["polytope_vertices"])
     report = {
@@ -544,7 +577,7 @@ def cmd_check(cfg: Config, oracle: bool) -> dict:
     }
     if not verdict.fiber_fano:
         warnings.append("fiber fan is not Fano")
-    if not tau_is_surjective(flag, tau):
+    if not verdict.surjective:
         warnings.append(
             "tau is not surjective at Lie-algebra level; "
             "the bundle degenerates to a product"

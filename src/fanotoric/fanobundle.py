@@ -16,11 +16,13 @@ crossed coordinates, where A = Gamma^{-1} B^{-T} (Gamma the crossed Killing
 Gram block, inverted once per flag; B the basis's crossed coordinates,
 inverted once per basis).  By the lemma of flagbase.in_chamber, every margin
 is positive iff the k crossed coordinates of every h_Q (_lift) are, so the
-verdict is decided on k |V| inequalities; the |R_m+| x |V| table pairs the
-same lifts with R_m+ (_table) from the verdict's own P, only when read.
+verdict is decided on k |V| inequalities.  Every other per-tau fact is read
+off the verdict's own P: the |R_m+| x |V| margin table (_table), the rank of
+tau, and the integrality of tau on lattice generators.
 
-fano_scan is the one verdict path: one validation, one fiber pass and one
-map A, then one verdict per tau matrix.  fano_check is its one-matrix case.
+fano_scan is the one verdict path and the one place a bundle is validated
+and its basis resolved: one validation, one fiber pass and one map A, then
+one verdict per tau matrix.  fano_check is its one-matrix case.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .flagbase import FlagManifold, _pair
 from .rootsys import Root, VectorH
 # is_fano stays bound here: perfbench/test_bench.py checks that the tracer
 # rebinds names imported from toricfiber, and reads fanobundle.is_fano.
-from .toricfiber import Fan, FanDiagnostics, Polytope, _require_smooth_complete
+from .toricfiber import Fan, FanDiagnostics, _require_smooth_complete
 from .toricfiber import is_fano  # noqa: F401
 
 Rows = Sequence[Sequence[Fraction]]
@@ -86,9 +88,10 @@ class FanoVerdict:
     """The verdict on one tau, with the fiber pass it was decided on.
 
     is_fano is decided on the crossed simple roots alone.  margins (the
-    table fano_margins gives for this tau and polytope) and violations (its
-    non-positive entries) are built on first read from the pullback matrix
-    P of the verdict, and take no part in ==.  A point fiber has no margins.
+    alpha(h_Q) table for every polytope vertex Q and alpha in R_m+,
+    vertex-major in the root order of R_m+) and surjective are built on
+    first read, and integrality at each call, from the pullback matrix P of
+    the verdict; none takes part in ==.  A point fiber has no margins.
     """
 
     fiber_fano: bool
@@ -103,8 +106,40 @@ class FanoVerdict:
         return _table(self._flag, self._pull, polytope.vertices) if polytope.dim else ()
 
     @cached_property
-    def violations(self) -> tuple[MarginEntry, ...]:
-        return tuple(e for e in self.margins if e.value <= 0)
+    def surjective(self) -> bool:
+        """Whether tau has full rank onto the fiber torus Lie algebra.
+
+        A is invertible, so rank P = rank tau.  Degenerate tau maps are
+        evaluated rather than rejected: the margin criterion still answers
+        correctly for the resulting product-like bundles (the tau = 0 case
+        reduces to the fiber and the flag being Fano separately).
+        """
+        m = self.fiber.polytope.dim
+        return m == 0 or _linalg.matrix_rank(self._pull) == m
+
+    def integrality(self, generators: Sequence[VectorH] | None) -> bool | None:
+        """Whether tau maps the given lattice generators into the fiber lattice.
+
+        Returns None ("not checked") when no generators are supplied; the
+        verdict does not depend on this.  P^T = tau B^{-1} Gamma^{-1}, so a
+        generator g of z(k) maps to tau B^{-1} g = P^T (Gamma g) over the
+        crossed coordinates.
+        """
+        if generators is None:
+            return None
+        flag = self._flag
+        crossed = flag.painting.crossed
+        gram = [[flag.rs.gram[x][y] for y in crossed] for x in crossed]
+        for gen in generators:
+            if not self._pull:
+                raise InputError("empty basis")
+            if not flag.in_zk(gen):
+                raise DomainError("h is outside the span of the basis")
+            coords = [gen.coords[y] for y in crossed]
+            g = [_dot(row, coords) for row in gram]
+            if any(_dot(col, g).denominator != 1 for col in zip(*self._pull)):
+                return False
+        return True
 
 
 def _basis(flag: FlagManifold, tau: TauMap) -> list[list[Fraction]]:
@@ -170,53 +205,6 @@ def _table(flag: FlagManifold, pull: Rows, vertices: Rows) -> tuple[MarginEntry,
     )
 
 
-def _point(q: Sequence[Fraction | int], tau: TauMap) -> tuple[Fraction, ...]:
-    qv = tuple(Fraction(x) for x in q)
-    if len(qv) != tau.fiber_dim:
-        raise InputError(
-            f"point has length {len(qv)}, fiber dimension is {tau.fiber_dim}"
-        )
-    return qv
-
-
-def tau_is_surjective(flag: FlagManifold, tau: TauMap) -> bool:
-    """Whether tau has full rank onto the fiber torus Lie algebra.
-
-    Degenerate tau maps are evaluated rather than rejected: the margin
-    criterion still answers correctly for the resulting product-like
-    bundles (the tau = 0 case reduces to the fiber and the flag being
-    Fano separately).
-    """
-    _basis(flag, tau)
-    m = tau.fiber_dim
-    return m == 0 or _linalg.matrix_rank(tau.matrix) == m
-
-
-def pullback_point(
-    flag: FlagManifold, tau: TauMap, q: Sequence[Fraction | int]
-) -> VectorH:
-    """h_Q = h_V + B|_z(k)^{-1}(tau^* Q) for a point Q of the fiber dual lattice."""
-    pull = _pull_matrix(_gram_map(flag, _basis(flag, tau)), tau)
-    lifted = dict(zip(flag.painting.crossed, _lift(flag, pull, _point(q, tau))))
-    return VectorH(tuple(lifted.get(i, c) for i, c in enumerate(flag.h_V.coords)))
-
-
-def fano_margins(
-    flag: FlagManifold, tau: TauMap, polytope: Polytope
-) -> tuple[MarginEntry, ...]:
-    """Margin alpha(h_Q) for every polytope vertex Q and root alpha in R_m+.
-
-    Entries are ordered by vertex index, then by the lexicographic root
-    order of R_m+.  A verdict's margins are this table, read from its own P.
-    """
-    pull = _pull_matrix(_gram_map(flag, _basis(flag, tau)), tau)
-    if polytope.dim != tau.fiber_dim:
-        raise InputError(
-            f"polytope dimension {polytope.dim} does not match tau rows {tau.fiber_dim}"
-        )
-    return _table(flag, pull, [_point(q, tau) for q in polytope.vertices])
-
-
 def fano_scan(
     flag: FlagManifold, fan: Fan, tau: TauMap, matrices: Iterable[Sequence]
 ) -> Iterator[FanoVerdict]:
@@ -251,28 +239,3 @@ def fano_scan(
 def fano_check(flag: FlagManifold, fan: Fan, tau: TauMap) -> FanoVerdict:
     """Decide positivity of the first Chern class of the bundle (see fano_scan)."""
     return next(fano_scan(flag, fan, tau, (tau.matrix,)))
-
-
-def check_tau_integrality(
-    flag: FlagManifold,
-    tau: TauMap,
-    cocharacter_basis: Sequence[VectorH] | None = None,
-) -> bool | None:
-    """Whether tau maps the given lattice generators into the fiber lattice.
-
-    Returns None ("not checked") when no generators are supplied; the
-    verdict of the positivity check does not depend on this.
-    """
-    if cocharacter_basis is None:
-        return None
-    basis_inverse = _basis(flag, tau)
-    for gen in cocharacter_basis:
-        if not basis_inverse:
-            raise InputError("empty basis")
-        if not flag.in_zk(gen):
-            raise DomainError("h is outside the span of the basis")
-        g = [gen.coords[x] for x in flag.painting.crossed]
-        coeffs = [_dot(row, g) for row in basis_inverse]
-        if any(_dot(row, coeffs).denominator != 1 for row in tau.matrix):
-            return False
-    return True

@@ -8,8 +8,9 @@ enumerates vertices of {u : <u, ray> >= -1} by intersecting subsets of
 boundary hyperplanes, bypassing the fixed-point method.
 
 The Killing form, the Killing dual over the full r x r Gram matrix, the
-root pairing and the diagram automorphisms are the references the engine's
-crossed-block computations are held to; the engine itself runs none of them.
+pullback Q -> h_Q solved against the Killing form, the root pairing and the
+diagram automorphisms are the references the engine's crossed-block
+computations are held to; the engine itself runs none of them.
 """
 
 from __future__ import annotations
@@ -54,6 +55,24 @@ def killing_dual(rs: RootSystem, coeffs) -> VectorH:
     coefficients: gram^-1 coeffs over the full r x r Gram matrix."""
     rows = _gram_inverse(rs.gram)
     return VectorH(tuple(sum(g * c for g, c in zip(row, coeffs)) for row in rows))
+
+
+def pullback(flag, tau, q) -> VectorH:
+    """h_Q = h_V + sum_j c_j b_j, with c solving sum_j B(b_i, b_j) c_j =
+    (tau^T q)_i for the declared basis b (the flag's default when none),
+    B the Killing form over the full Gram matrix."""
+    rs = flag.rs
+    basis = tau.basis if tau.basis is not None else flag.zk_basis_default
+    m = len(tau.matrix)
+    assert len(q) == m, "point length differs from the fiber dimension"
+    det, inverse = _linalg.invert(
+        [[killing_form(rs, bi, bj) for bj in basis] for bi in basis]
+    )
+    assert det != 0, "dependent basis"
+    rhs = [sum((Fraction(q[l]) * tau.matrix[l][i] for l in range(m)), Fraction(0))
+           for i in range(len(basis))]
+    coeffs = [sum((g * r for g, r in zip(row, rhs)), Fraction(0)) for row in inverse]
+    return coordinate_sum(rs.rank, [(1, flag.h_V)] + list(zip(coeffs, basis)))
 
 
 def diagram_automorphisms(t) -> tuple[tuple[int, ...], ...]:
@@ -173,6 +192,28 @@ def halfspace_vertices(rays, dim) -> frozenset[tuple[Fraction, ...]]:
         ):
             found.add(tuple(u))
     return frozenset(found)
+
+
+def cofactor_det(a):
+    """The determinant by cofactor expansion along the first row."""
+    if not a:
+        return 1
+    return sum(
+        (-1) ** j * a[0][j] * cofactor_det([row[:j] + row[j + 1 :] for row in a[1:]])
+        for j in range(len(a))
+        if a[0][j]
+    )
+
+
+def minor_rank(a):
+    """The rank as the size of the largest nonzero minor."""
+    m, n = len(a), len(a[0])
+    for size in range(min(m, n), 0, -1):
+        for rows in combinations(range(m), size):
+            for cols in combinations(range(n), size):
+                if cofactor_det([[a[i][j] for j in cols] for i in rows]):
+                    return size
+    return 0
 
 
 def reflection_closure(cartan) -> list[tuple[int, ...]]:

@@ -49,7 +49,7 @@ def test_criterion_1_hirzebruch_family():
         ok = ok and verdict.is_fano == (n in (0, 1))
     v2 = fano_check(flag, fan, support.hirzebruch_tau(2))
     ok = ok and not v2.is_fano
-    ok = ok and any(e.value == F(0) for e in v2.violations)
+    ok = ok and any(e.value == F(0) for e in v2.margins)
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 1.0
     _report(1, f"Hirzebruch family Fano iff n in {{0,1}}, n=2 margin exactly 0 ({elapsed:.3f}s)", ok)

@@ -309,6 +309,66 @@ def test_oracle_flag_warns_for_fan_fiber(capsys):
     assert any("oracle" in w for w in report["warnings"])
 
 
+def projective_doc(dim):
+    return {
+        "base": {"components": [{"letter": "A", "rank": 1}], "crossed": [1]},
+        "fiber": {"kind": "projective_space", "dim": dim},
+        "tau": [[1]] * dim,
+    }
+
+
+@pytest.mark.parametrize("command", ["check", "polytope"])
+@pytest.mark.parametrize("dim", [6, 7, 8])
+def test_oracle_skips_the_quadrature_above_dim_6(capsys, tmp_path, monkeypatch, command, dim):
+    # 12^m quadrature nodes: about 600 MB at m = 6, 7 GB at 7, 85 GB at 8.
+    from fanotoric import numcheck
+
+    calls = []
+    monkeypatch.setattr(
+        numcheck, "barycenter_integral", lambda m, n: calls.append(n) or (0.0,) * m
+    )
+    report = run_json(capsys, command, write(tmp_path, projective_doc(dim)), "--oracle")
+    warning = "oracle: comparison available only up to projective_space dim 6"
+    if dim <= cli.MAX_ORACLE_DIM:
+        assert (calls, report["oracle"]["fiber_dim"]) == ([12**dim], dim)
+        assert warning not in report["warnings"]
+    else:
+        assert (calls, report["oracle"]) == ([], None)
+        assert warning in report["warnings"]
+
+
+@pytest.mark.parametrize(
+    "fields, unknown",
+    [
+        ({"zk_bases": [["-2"]]}, "zk_bases"),
+        ({"cocharacter": [["-2"]]}, "cocharacter"),
+        ({"zz": 1, "aa": 2}, "zz"),
+        ({"base": {"components": [{"letter": "A", "rank": 1}], "crossed": [1],
+                   "painting": [1]}}, "base.painting"),
+        ({"base": {"components": [{"letter": "A", "ranks": 1, "rank": 1}], "crossed": [1]}},
+         "base.components[0].ranks"),
+        ({"fiber": {"kind": "projective_space", "dim": 1, "rays": []}}, "fiber.rays"),
+        ({"fiber": {"kind": "fan", "rays": [[1], [-1]], "max_cones": [[0], [1]],
+                    "cones": []}}, "fiber.cones"),
+        ({"fiber": {"kind": "product", "dim": 1,
+                    "parts": [{"kind": "projective_space", "dim": 1}]}}, "fiber.dim"),
+        ({"fiber": {"kind": "product",
+                    "parts": [{"kind": "projective_space", "dim": 1, "size": 2}]}},
+         "fiber.parts[0].size"),
+        ({"scan": {"kind": "scale", "range": [1, 2], "bound": 1}}, "scan.bound"),
+        ({"scan": {"kind": "box", "bound": 1, "range": [1, 2]}}, "scan.range"),
+    ],
+    ids=["top", "top-cocharacter", "top-first-in-order", "base", "component",
+         "fiber-projective", "fiber-fan", "fiber-product", "fiber-part", "scan-scale",
+         "scan-box"],
+)
+def test_unknown_config_field_exits_2_naming_it(capsys, tmp_path, fields, unknown):
+    doc = {**json.loads((CONFIGS / "hirzebruch_n1.json").read_text()), **fields}
+    for command in ("check", "scan"):
+        code, out, err = run(capsys, command, write(tmp_path, doc))
+        assert (code, out, err) == (2, "", f"error: {unknown}: unknown field\n")
+
+
 def test_bad_crossed_index_names_field(capsys, tmp_path):
     doc = hirzebruch_doc(1)
     doc["base"]["crossed"] = [3]

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction as F
 from functools import lru_cache
 from itertools import product as iter_product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,6 @@ from fanotoric import (
     Fan,
     InputError,
     Painting,
-    Polytope,
     SimpleType,
     TauMap,
     VectorH,
@@ -23,14 +23,10 @@ from fanotoric import (
     build_root_system,
     canonical_polytope,
     chamber_margins,
-    check_tau_integrality,
     fano_check,
-    fano_margins,
     point_fan,
     product,
     projective_space,
-    pullback_point,
-    tau_is_surjective,
 )
 from fanotoric import _linalg, cli, fanobundle, toricfiber
 from fanotoric.fanobundle import fano_scan
@@ -38,12 +34,16 @@ from fanotoric.fanobundle import fano_scan
 
 def test_hirzebruch_pullback_values():
     flag = support.hirzebruch_flag()
+    fan = projective_space(1)
     for n in range(0, 7):
         tau = support.hirzebruch_tau(n)
-        plus = pullback_point(flag, tau, (F(1),))
-        minus = pullback_point(flag, tau, (F(-1),))
+        plus = oracles.pullback(flag, tau, (F(1),))
+        minus = oracles.pullback(flag, tau, (F(-1),))
         assert plus.coords == (F(1, 2) - F(n, 4),)
         assert minus.coords == (F(1, 2) + F(n, 4),)
+        # The one root of A1 reads h_Q itself at each vertex of [-1, 1].
+        at = {e.vertex: e.value for e in fano_check(flag, fan, tau).margins}
+        assert at == {(F(1),): plus.coords[0], (F(-1),): minus.coords[0]}
 
 
 def test_hirzebruch_margins_n1():
@@ -60,23 +60,30 @@ def test_hirzebruch_family_window():
         verdict = fano_check(flag, fan, support.hirzebruch_tau(n))
         assert verdict.is_fano == (n < 2)
     v2 = fano_check(flag, fan, support.hirzebruch_tau(2))
-    assert any(e.value == 0 for e in v2.violations)
+    assert any(e.value == 0 for e in v2.margins)
     assert not v2.is_fano
 
 
 def test_pullback_of_origin_is_h_v():
     flag = support.hirzebruch_flag()
     tau = support.hirzebruch_tau(3)
-    assert pullback_point(flag, tau, (F(0),)) == flag.h_V
+    assert oracles.pullback(flag, tau, (F(0),)) == flag.h_V
     flag5, tau5 = support.so4n_flag_tau(5)
-    assert pullback_point(flag5, tau5, (F(0), F(0))) == flag5.h_V
+    assert oracles.pullback(flag5, tau5, (F(0), F(0))) == flag5.h_V
 
 
 def test_margins_at_origin_equal_chamber_margins():
+    # The vertices of the P2 polytope sum to the origin and Q -> alpha(h_Q)
+    # is affine, so each root's margins average to its margin at h_V.
     flag, tau = support.so4n_flag_tau(5)
-    h0 = pullback_point(flag, tau, (0, 0))
-    base = chamber_margins(flag, h0)
-    assert base == chamber_margins(flag, flag.h_V)
+    verdict = fano_check(flag, projective_space(2), tau)
+    vertices = verdict.fiber.polytope.vertices
+    assert [sum(c) for c in zip(*vertices)] == [0, 0]
+    totals = {}
+    for e in verdict.margins:
+        totals[e.root] = totals.get(e.root, 0) + e.value
+    mean = tuple((root, totals[root] / len(vertices)) for root in flag.r_m_plus)
+    assert mean == chamber_margins(flag, flag.h_V)
 
 
 def test_so4n_family_window():
@@ -114,7 +121,8 @@ def test_point_fiber_reduces_to_flag():
     flag = support.hirzebruch_flag()
     verdict = fano_check(flag, point_fan(), TauMap(()))
     assert verdict.fiber_fano and verdict.is_fano
-    assert verdict.margins == () and verdict.violations == ()
+    assert verdict.margins == ()
+    assert verdict.surjective
 
 
 def test_non_fano_fiber_forces_false():
@@ -128,8 +136,8 @@ def test_non_fano_fiber_forces_false():
 def test_degenerate_tau_is_classified_not_rejected():
     flag = support.hirzebruch_flag()
     tau = support.hirzebruch_tau(0)
-    assert not tau_is_surjective(flag, tau)
     verdict = fano_check(flag, projective_space(1), tau)
+    assert not verdict.surjective
     assert verdict.is_fano
     assert all(e.value == F(1, 2) for e in verdict.margins)
 
@@ -173,7 +181,7 @@ def test_basis_change_invariance():
 def test_vertex_sufficiency_under_convex_combinations():
     flag, tau = support.so4n_flag_tau(5)
     poly = canonical_polytope(projective_space(2))
-    margins = fano_margins(flag, tau, poly)
+    margins = fano_check(flag, projective_space(2), tau).margins
     per_root_min = {}
     for e in margins:
         per_root_min[e.root] = min(per_root_min.get(e.root, e.value), e.value)
@@ -188,7 +196,7 @@ def test_vertex_sufficiency_under_convex_combinations():
             sum(w * v[j] for w, v in zip(weights, poly.vertices))
             for j in range(poly.dim)
         )
-        h = pullback_point(flag, tau, q)
+        h = oracles.pullback(flag, tau, q)
         for root, value in chamber_margins(flag, h):
             assert value >= per_root_min[root]
 
@@ -233,26 +241,29 @@ def test_diagram_automorphism_equivariance_d_type_swap():
 
 def test_tau_integrality_examples():
     flag = support.hirzebruch_flag()
+    fan = projective_space(1)
     y = VectorH((F(-2),))
     for n in range(-3, 4):
-        tau = support.hirzebruch_tau(n)
-        assert check_tau_integrality(flag, tau, [y]) is True
-    half = TauMap(((F(1, 2),),), (y,))
-    assert check_tau_integrality(flag, half, [y]) is False
-    assert check_tau_integrality(flag, half) is None
+        verdict = fano_check(flag, fan, support.hirzebruch_tau(n))
+        assert verdict.integrality([y]) is True
+    half = fano_check(flag, fan, TauMap(((F(1, 2),),), (y,)))
+    assert half.integrality([y]) is False
+    assert half.integrality(None) is None
+    assert half.integrality([]) is True
 
 
 def test_tau_integrality_rejects_generator_outside_zk():
     flag, tau = support.so4n_flag_tau(2)
+    verdict = fano_check(flag, projective_space(2), tau)
     outside = VectorH.unit(4, 0)
     with pytest.raises(DomainError, match="^h is outside the span of the basis$"):
-        check_tau_integrality(flag, tau, [outside])
+        verdict.integrality([outside])
     with pytest.raises(InputError, match="^rank mismatch$"):
-        check_tau_integrality(flag, tau, [VectorH.unit(3, 0)])
+        verdict.integrality([VectorH.unit(3, 0)])
     # An empty painting has no basis to express a generator in, whatever it is.
-    empty = build_flag(flag.rs, Painting(()))
+    empty = fano_check(build_flag(flag.rs, Painting(())), projective_space(1), TauMap(((),)))
     with pytest.raises(InputError, match="^empty basis$"):
-        check_tau_integrality(empty, TauMap(((),)), [VectorH.unit(3, 0)])
+        empty.integrality([VectorH.unit(3, 0)])
 
 
 def test_tau_shape_errors():
@@ -262,8 +273,6 @@ def test_tau_shape_errors():
     with pytest.raises(InputError):
         # two rows against a one-dimensional fiber fan
         fano_check(flag, projective_space(1), TauMap(((F(1),), (F(2),))))
-    with pytest.raises(InputError):
-        pullback_point(flag, support.hirzebruch_tau(1), (F(1), F(0)))
 
 
 def test_declared_basis_validation():
@@ -318,10 +327,7 @@ def test_fano_scan_matches_fano_check_per_matrix(monkeypatch, bundle):
         check = fano_check(flag, fan, TauMap(matrix, tau.basis))
         assert verdict == check
         assert verdict.margins == check.margins
-        assert verdict.margins == fano_margins(
-            flag, TauMap(matrix, tau.basis), verdict.fiber.polytope
-        )
-        assert verdict.violations == check.violations
+        assert verdict.surjective == check.surjective
         assert verdict.fiber == validate(fan)
 
 
@@ -361,8 +367,8 @@ def _a3_check_path(tmp_path, **extra):
 
 def test_one_check_makes_one_gram_map(monkeypatch, tmp_path, capsys):
     # The map comes from the flag's inverse crossed block and the inverse
-    # basis block, which also gives the integrality coefficients, and the
-    # printed table reuses the verdict's P.
+    # basis block; the printed table, the rank and the integrality all
+    # reuse the verdict's P.
     path = _a3_check_path(tmp_path, cocharacter_basis=[[1, 0, 0], [0, 0, 1]])
     maps = []
     gram_map = fanobundle._gram_map
@@ -373,9 +379,8 @@ def test_one_check_makes_one_gram_map(monkeypatch, tmp_path, capsys):
 
 
 def test_one_check_eliminates_only_2x2_matrices(monkeypatch, tmp_path, capsys):
-    # The crossed Gram block, the basis block, one inversion per P2 cone,
-    # and the basis block and a rank for tau_is_surjective: nothing is
-    # eliminated at the rank 3 of the base.
+    # The crossed Gram block, the basis block, one inversion per P2 cone
+    # and the rank of P: nothing is eliminated at the rank 3 of the base.
     path = _a3_check_path(tmp_path)
     shapes, reduce = [], _linalg._reduce
 
@@ -385,7 +390,27 @@ def test_one_check_eliminates_only_2x2_matrices(monkeypatch, tmp_path, capsys):
 
     monkeypatch.setattr(_linalg, "_reduce", traced)
     assert cli.main(["check", str(path), "--json"]) == 0
-    assert shapes == [(2, 2)] * 7
+    assert shapes == [(2, 2)] * 6
+
+
+@pytest.mark.parametrize(
+    "config, eliminations, integrality",
+    [("hirzebruch_n1", 5, True), ("so16", 6, "not checked")],
+)
+def test_one_check_resolves_the_basis_once(monkeypatch, capsys, config, eliminations, integrality):
+    # fano_scan is the one caller of _basis: surjectivity and integrality
+    # read the verdict's P and validate nothing again.  The eliminations are
+    # the crossed Gram block, the basis block, one per fiber cone and the
+    # rank of P.
+    calls, eliminated = [], []
+    basis, reduce = fanobundle._basis, _linalg._reduce
+    monkeypatch.setattr(fanobundle, "_basis", lambda *a: calls.append(a) or basis(*a))
+    monkeypatch.setattr(_linalg, "_reduce", lambda *a: eliminated.append(a) or reduce(*a))
+    path = Path(__file__).resolve().parent.parent / "configs" / f"{config}.json"
+    assert cli.main(["check", str(path), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (len(calls), len(eliminated)) == (1, eliminations)
+    assert report["tau_integrality"] == integrality
 
 
 @pytest.mark.parametrize(
@@ -439,7 +464,7 @@ def test_fano_scan_validates_at_the_call(flag, fan, tau, error):
 def test_fano_scan_point_fan_has_no_margins():
     flag = support.hirzebruch_flag()
     (verdict,) = fano_scan(flag, point_fan(), TauMap(()), [()])
-    assert verdict.margins == () and verdict.violations == ()
+    assert verdict.margins == ()
     assert verdict.is_fano and verdict.fiber_fano
 
 
@@ -496,25 +521,28 @@ def _draw_tau(data, base, m):
 @settings(deadline=None, max_examples=60)
 @given(st.sampled_from(BASES), st.data())
 def test_pullback_against_killing_form_oracle(base, data):
+    # The verdict's P, paired at arbitrary rational points, against the h_Q
+    # the oracle solves from the Killing form over the full Gram matrix.
     m = data.draw(st.integers(1, 3))
     flag, tau = _draw_tau(data, base, m)
     rs, basis = flag.rs, tau.basis
+    verdict = fano_check(flag, projective_space(m), tau)
     points = data.draw(
         st.lists(st.lists(RATIONAL, min_size=m, max_size=m), min_size=1, max_size=3)
     )
+    pulled_back = {}
     for q in points:
-        h = pullback_point(flag, tau, q)
+        h = pulled_back[tuple(q)] = oracles.pullback(flag, tau, q)
         assert flag.in_zk(h)
         shift = oracles.coordinate_sum(rs.rank, [(1, h), (-1, flag.h_V)])
         for j, b in enumerate(basis):
             pulled = sum((q[i] * tau.matrix[i][j] for i in range(m)), F(0))
             assert oracles.killing_form(rs, shift, b) == pulled
     vertices = tuple(tuple(q) for q in points)
-    entries = fano_margins(flag, tau, Polytope(m, vertices, ()))
+    entries = fanobundle._table(flag, verdict._pull, vertices)
     assert len(entries) == len(vertices) * len(flag.r_m_plus)
     for e in entries:
-        coords = pullback_point(flag, tau, e.vertex).coords
-        assert e.value == sum(c * x for c, x in zip(e.root, coords))
+        assert e.value == oracles.pair(e.root, pulled_back[e.vertex])
     # Integrality against tau c, for the drawn coefficients c of each
     # generator over the declared basis.
     k = len(basis)
@@ -530,7 +558,7 @@ def test_pullback_against_killing_form_oracle(base, data):
         for c in coeffs
         for row in tau.matrix
     )
-    assert check_tau_integrality(flag, tau, gens) is integral
+    assert verdict.integrality(gens) is integral
 
 
 FIBERS = {
@@ -540,7 +568,7 @@ FIBERS = {
 }
 
 
-def _boundary_scale(flag, tau, polytope):
+def _boundary_scale(flag, tau, fan):
     """The scale s nearest 0 at which the least margin of s * tau is exactly 0.
 
     Along s the margin of (Q, alpha) is alpha(h_V) + s d with alpha(h_V) > 0,
@@ -550,7 +578,7 @@ def _boundary_scale(flag, tau, polytope):
     at_h_v = dict(chamber_margins(flag, flag.h_V))
     moves = [
         (at_h_v[e.root], e.value - at_h_v[e.root])
-        for e in fano_margins(flag, tau, polytope)
+        for e in fano_check(flag, fan, tau).margins
     ]
     ahead = [base / -d for base, d in moves if d < 0]
     behind = [base / d for base, d in moves if d > 0]
@@ -566,7 +594,7 @@ def test_reduced_verdict_equals_full_table(base, fiber, data):
     flag, tau = _draw_tau(data, base, fan.dim)
     on_boundary = data.draw(st.booleans())
     if on_boundary:
-        scale = _boundary_scale(flag, tau, canonical_polytope(fan))
+        scale = _boundary_scale(flag, tau, fan)
         on_boundary = scale is not None
         if on_boundary:
             tau = tau.scaled(scale)
@@ -574,20 +602,29 @@ def test_reduced_verdict_equals_full_table(base, fiber, data):
     if on_boundary:
         assert min(e.value for e in v.margins) == 0
     assert v.is_fano == (v.fiber_fano and all(e.value > 0 for e in v.margins))
-    assert v.violations == tuple(e for e in v.margins if e.value <= 0)
 
 
 @settings(deadline=None, max_examples=60)
 @given(st.sampled_from(BASES), st.sampled_from(sorted(FIBERS)), st.data())
-def test_fano_margins_pair_each_root_at_each_pullback_point(base, fiber, data):
+def test_verdict_margins_pair_each_root_at_each_pullback_point(base, fiber, data):
     # The reference pairs every root of R_m+ with the full h_Q, one by one.
     fan = FIBERS[fiber]
     flag, tau = _draw_tau(data, base, fan.dim)
     polytope = canonical_polytope(fan)
+    h = {q: oracles.pullback(flag, tau, q) for q in polytope.vertices}
     expected = [
-        (vi, q, root, oracles.pair(root, pullback_point(flag, tau, q)))
+        (vi, q, root, oracles.pair(root, h[q]))
         for vi, q in enumerate(polytope.vertices)
         for root in flag.r_m_plus
     ]
-    entries = fano_margins(flag, tau, polytope)
+    entries = fano_check(flag, fan, tau).margins
     assert [(e.vertex_index, e.vertex, e.root, e.value) for e in entries] == expected
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(BASES), st.sampled_from(sorted(FIBERS)), st.data())
+def test_surjective_is_full_rank_of_tau(base, fiber, data):
+    fan = FIBERS[fiber]
+    flag, tau = _draw_tau(data, base, fan.dim)
+    verdict = fano_check(flag, fan, tau)
+    assert verdict.surjective == (oracles.minor_rank(tau.matrix) == fan.dim)

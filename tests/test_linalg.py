@@ -1,12 +1,12 @@
 """Properties of the exact elimination kernel against brute-force references."""
 
 from fractions import Fraction
-from itertools import combinations
 
 from hypothesis import given
 from hypothesis import strategies as st
 
 from fanotoric._linalg import invert, matrix_rank
+from oracles import cofactor_det, minor_rank
 
 ENTRY = st.integers(-3, 3)
 
@@ -18,26 +18,6 @@ def matrices(rows, cols):
 # Entries in [-3, 3] make singular matrices and rank deficiency common.
 square = st.integers(0, 4).flatmap(lambda n: matrices(n, n))
 small = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(lambda s: matrices(*s))
-
-
-def cofactor_det(a):
-    if not a:
-        return 1
-    return sum(
-        (-1) ** j * a[0][j] * cofactor_det([row[:j] + row[j + 1 :] for row in a[1:]])
-        for j in range(len(a))
-        if a[0][j]
-    )
-
-
-def minor_rank(a):
-    m, n = len(a), len(a[0])
-    for size in range(min(m, n), 0, -1):
-        for rows in combinations(range(m), size):
-            for cols in combinations(range(n), size):
-                if cofactor_det([[a[i][j] for j in cols] for i in rows]):
-                    return size
-    return 0
 
 
 def mul(a, x):

@@ -23,22 +23,18 @@ PUBLIC = [
     "build_root_system",
     "canonical_polytope",
     "chamber_margins",
-    "check_tau_integrality",
     "fano_check",
-    "fano_margins",
     "in_chamber",
     "is_fano",
     "point_fan",
     "product",
     "projective_space",
-    "pullback_point",
-    "tau_is_surjective",
     "validate_fan",
 ]
 
 
 def test_all_lists_exactly_the_public_names_and_each_resolves():
-    assert len(PUBLIC) == 28
+    assert len(PUBLIC) == 24
     assert sorted(fanotoric.__all__) == PUBLIC
     for name in PUBLIC:
         assert getattr(fanotoric, name) is not None, name
