@@ -36,6 +36,10 @@ DEFAULT_SCAN_CAP = 10000
 # Deepest product nesting a fiber may have; deeper configs exit 2 before
 # any recursion over them can reach the interpreter's limit.
 MAX_FIBER_DEPTH = 32
+# Largest total base rank and fiber dimension a config may ask for; on a
+# 2-core Xeon VM, flag-info on A100 takes 1.4 s and polytope on (P1)^12 11 s.
+MAX_BASE_RANK = 100
+MAX_FIBER_DIM = 12
 # Largest projective_space fiber --oracle compares: the barycenter quadrature
 # takes 12^m nodes, about 600 MB at m = 6 and twelve times that per dimension.
 MAX_ORACLE_DIM = 6
@@ -146,12 +150,17 @@ class Config:
         self.cocharacter_basis: list[VectorH] | None = None
         self.scan: dict | None = None
         self.echo: dict = {}
+        self._fiber_dim = 0  # summed over the parts of a product
         if "base" in doc:
             self._parse_base(_expect_dict(doc["base"], "base"))
         if "zk_basis" in doc:
             self.zk_basis = self._parse_basis(doc["zk_basis"], "zk_basis")
         if "fiber" in doc:
             self.fiber_spec = self._parse_fiber(doc["fiber"], "fiber")
+            if self._fiber_dim > MAX_FIBER_DIM:
+                raise ConfigError(
+                    "fiber", f"total dimension {self._fiber_dim} is over {MAX_FIBER_DIM}"
+                )
             self.echo["fiber"] = self.fiber_spec
         if "tau" in doc:
             self._parse_tau(doc["tau"])
@@ -189,6 +198,8 @@ class Config:
             raise ConfigError("base.components", "must not be empty")
         self.components = comps
         total = sum(t.rank for t in comps)
+        if total > MAX_BASE_RANK:
+            raise ConfigError("base.components", f"total rank {total} is over {MAX_BASE_RANK}")
         crossed = []
         for i, idx in enumerate(
             _expect_list(_get(base, "crossed", "base"), "base.crossed")
@@ -227,6 +238,7 @@ class Config:
             dim = _parse_int(_get(spec, "dim", path), _join(path, "dim"))
             if dim < 1:
                 raise ConfigError(_join(path, "dim"), "must be >= 1")
+            self._fiber_dim += dim
             return {"kind": kind, "dim": dim}
         if kind == "fan":
             _require_known(spec, ("kind", "dim", "rays", "max_cones"), path)
@@ -245,6 +257,7 @@ class Config:
                 raise ConfigError(
                     _join(path, "dim"), "required when no rays are given"
                 )
+            self._fiber_dim += max(dim, 0)  # Fan rejects a negative dim
             cones_raw = _expect_list(
                 _get(spec, "max_cones", path), _join(path, "max_cones")
             )
@@ -566,7 +579,7 @@ def cmd_check(cfg: Config, oracle: bool) -> dict:
         "flag": _flag_report(flag),
         "fiber": fiber,
         "verdict": {
-            "fiber_fano": verdict.fiber_fano,
+            "fiber_fano": verdict.fiber.fano,
             "is_fano": verdict.is_fano,
         },
         "margins": margins,
@@ -575,7 +588,7 @@ def cmd_check(cfg: Config, oracle: bool) -> dict:
         "tau_integrality": "not checked" if integrality is None else integrality,
         "warnings": warnings,
     }
-    if not verdict.fiber_fano:
+    if not verdict.fiber.fano:
         warnings.append("fiber fan is not Fano")
     if not verdict.surjective:
         warnings.append(

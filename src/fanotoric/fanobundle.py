@@ -77,8 +77,9 @@ class TauMap:
 
 @dataclass(frozen=True)
 class MarginEntry:
+    """alpha(h_Q) for the root alpha at vertex Q = polytope.vertices[vertex_index]."""
+
     vertex_index: int
-    vertex: tuple[Fraction, ...]
     root: Root
     value: Fraction
 
@@ -87,14 +88,13 @@ class MarginEntry:
 class FanoVerdict:
     """The verdict on one tau, with the fiber pass it was decided on.
 
-    is_fano is decided on the crossed simple roots alone.  margins (the
-    alpha(h_Q) table for every polytope vertex Q and alpha in R_m+,
-    vertex-major in the root order of R_m+) and surjective are built on
-    first read, and integrality at each call, from the pullback matrix P of
-    the verdict; none takes part in ==.  A point fiber has no margins.
+    is_fano is decided on the crossed simple roots alone (the fiber's own
+    flag is fiber.fano).  margins (alpha(h_Q) for every polytope vertex Q
+    and alpha in R_m+, vertex-major in R_m+ order) and surjective are built
+    on first read, and integrality at each call, from the pullback matrix P
+    of the verdict; none takes part in ==.  A point fiber has no margins.
     """
 
-    fiber_fano: bool
     is_fano: bool
     fiber: FanDiagnostics
     _flag: FlagManifold = field(repr=False, compare=False)
@@ -199,7 +199,7 @@ def _lift(flag: FlagManifold, pull: Rows, q: Sequence[Fraction]) -> Iterator[Fra
 def _table(flag: FlagManifold, pull: Rows, vertices: Rows) -> tuple[MarginEntry, ...]:
     """alpha(h_Q) for every vertex Q and alpha in R_m+, vertex-major."""
     return tuple(
-        MarginEntry(vi, q, root, value)
+        MarginEntry(vi, root, value)
         for vi, q in enumerate(vertices)
         for root, value in _pair(flag, tuple(_lift(flag, pull, q)))
     )
@@ -231,7 +231,7 @@ def fano_scan(
             fano = diag.fano and all(
                 h > 0 for q in vertices for h in _lift(flag, pull, q)
             )
-            yield FanoVerdict(diag.fano, fano, diag, flag, pull)
+            yield FanoVerdict(fano, diag, flag, pull)
 
     return verdicts()
 

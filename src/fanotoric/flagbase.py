@@ -3,15 +3,15 @@
 A painting crosses a subset of simple nodes.  Roots supported only on the
 uncrossed nodes form the isotropy root set R_o; the positive roots outside
 R_o (written R_m+ below) index the complex tangent directions of the flag
-manifold and fix its invariant complex structure.  The center z(k) of the
-isotropy is cut out by the vanishing of all R_o evaluations; its default
-basis here is the unit evaluation vector of each crossed node.  The vector
-h_V, the sum of the Killing duals of R_m+, realizes the invariant
-Kaehler-Einstein form of the flag manifold and lies strictly inside the
-positivity chamber: alpha(h_V) > 0 for every alpha in R_m+.  The flag keeps
-the inverse of the k x k crossed Killing Gram block, which gives h_V in z(k),
-and the distinct restrictions of R_m+ to the crossed nodes, which give every
-margin on z(k).
+manifold and fix its invariant complex structure.  The flag stores R_m+
+alone.  The center z(k) of the isotropy is cut out by the vanishing of all
+R_o evaluations, that is of the uncrossed coordinates; its default basis
+here is the unit evaluation vector of each crossed node.  The vector h_V,
+the sum of the Killing duals of R_m+, realizes the invariant Kaehler-Einstein
+form of the flag manifold and lies strictly inside the positivity chamber:
+alpha(h_V) > 0 for every alpha in R_m+.  The flag keeps the inverse of the
+k x k crossed Killing Gram block, which gives h_V in z(k), and the distinct
+restrictions of R_m+ to the crossed nodes, which give every margin on z(k).
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ class Painting:
 class FlagManifold:
     rs: RootSystem
     painting: Painting
-    r_o: tuple[Root, ...]
     r_m_plus: tuple[Root, ...]
     zk_basis_default: tuple[VectorH, ...]
     h_V: VectorH
@@ -75,13 +74,8 @@ def build_flag(rs: RootSystem, painting: Painting) -> FlagManifold:
                 f"crossed index {i} out of range for total rank {rs.rank}"
             )
     crossed = painting.crossed
-    r_o = tuple(
-        root for root in rs.roots if all(root[i] == 0 for i in crossed)
-    )
     r_m_plus = tuple(
-        root
-        for root, pos in zip(rs.roots, rs.positive)
-        if pos and any(root[i] != 0 for i in crossed)
+        root for root in rs.positive_roots if any(root[i] for i in crossed)
     )
     basis = tuple(VectorH.unit(rs.rank, i) for i in crossed)
     total = [sum(root[j] for root in r_m_plus) for j in range(rs.rank)]
@@ -102,7 +96,6 @@ def build_flag(rs: RootSystem, painting: Painting) -> FlagManifold:
     return FlagManifold(
         rs=rs,
         painting=painting,
-        r_o=r_o,
         r_m_plus=r_m_plus,
         zk_basis_default=basis,
         h_V=h_v,

@@ -18,14 +18,14 @@ Coordinate conventions used throughout the package:
 
 The positive roots of each simple component are built one height at a
 time from its Cartan matrix by the root-string rule (_component_roots);
-the negative roots are their sign flips.
+only they are stored, as the negative roots enter only the Gram matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul, neg
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from .errors import InputError
@@ -128,13 +128,12 @@ class VectorH:
 class RootSystem:
     """A semisimple root datum with its Killing Gram matrix.
 
-    roots are coefficient vectors over the concatenated simple-root basis,
-    sorted lexicographically; positive[i] flags the positive half.
+    positive_roots are the positive roots as coefficient vectors over the
+    concatenated simple-root basis, sorted lexicographically.
     """
 
     components: tuple[SimpleType, ...]
-    roots: tuple[Root, ...]
-    positive: tuple[bool, ...]
+    positive_roots: tuple[Root, ...]
     gram: tuple[tuple[int, ...], ...]
 
     @property
@@ -201,14 +200,8 @@ def build_root_system(spec: Iterable[SimpleType]) -> RootSystem:
                 i, j = offset + a, offset + b
                 gram[i][j] = gram[j][i] = 2 * sum(map(mul, ca, cols[b]))
         offset += t.rank
-    # A root's coefficients share one sign, so every negative root sorts
-    # before every positive one, and negation reverses the order.
-    positives.sort()
-    negatives = [tuple(map(neg, c)) for c in reversed(positives)]
-    half = len(positives)
     return RootSystem(
         components=types,
-        roots=tuple(negatives + positives),
-        positive=(False,) * half + (True,) * half,
+        positive_roots=tuple(sorted(positives)),
         gram=tuple(tuple(row) for row in gram),
     )

@@ -82,11 +82,10 @@ class FanDiagnostics:
 
 @dataclass(frozen=True)
 class Polytope:
-    """Rational vertices in the dual lattice, tagged by producing cone."""
+    """Rational vertices in the dual lattice, one per maximal cone, in order."""
 
     dim: int
     vertices: tuple[tuple[Fraction, ...], ...]
-    cones: tuple[Cone, ...]
 
 
 def _dot(u: tuple[Fraction, ...], ray: Ray) -> Fraction:
@@ -177,7 +176,7 @@ def validate_fan(fan: Fan) -> FanDiagnostics:
             for ridx, ray in enumerate(fan.rays)
             if ridx not in cone
         )
-        polytope = Polytope(dim=fan.dim, vertices=vertices, cones=fan.max_cones)
+        polytope = Polytope(dim=fan.dim, vertices=vertices)
     return FanDiagnostics(
         smooth=not bad,
         complete=complete,

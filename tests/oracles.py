@@ -5,7 +5,9 @@ of rootsys: the classical roots enumerated directly in the
 orthogonal-coordinate model, and the whole root system built by closing
 the simple roots under the simple reflections.  The polytope oracle
 enumerates vertices of {u : <u, ray> >= -1} by intersecting subsets of
-boundary hyperplanes, bypassing the fixed-point method.
+boundary hyperplanes, bypassing the fixed-point method.  The total-space
+oracle writes down the fan of a bundle over a product of projective spaces
+and decides it Fano from the tight rays of those vertices alone.
 
 The Killing form, the Killing dual over the full r x r Gram matrix, the
 pullback Q -> h_Q solved against the Killing form, the root pairing and the
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 from fanotoric import RootSystem, VectorH, _linalg
 
@@ -194,6 +196,55 @@ def halfspace_vertices(rays, dim) -> frozenset[tuple[Fraction, ...]]:
     return frozenset(found)
 
 
+def total_space_fan(block_dims, fiber, columns):
+    """Dimension, rays and maximal cones of the total space of a toric bundle
+    over a product of projective spaces P^n_1 x ... x P^n_k.
+
+    Block j is A_{n_j} crossed at an end node, and columns[j] is t_j, the
+    image under tau of block j's character-dual basis vector (evaluation
+    (n_j + 1) / n_j on its crossed node).  The lattice is the sum of the
+    block lattices and the fiber's.  The rays are e_i for each block
+    coordinate, one (-sum_i e_i, t_j) per block, and (0, r) for each ray r
+    of the fiber; a maximal cone takes n_j of the n_j + 1 rays of each
+    block and one maximal cone of the fiber.
+    """
+    dim = sum(block_dims) + fiber.dim
+    rays = []
+    blocks = []
+    offset = 0
+    for n, t in zip(block_dims, columns):
+        start = len(rays)
+        for i in range(n):
+            ray = [0] * dim
+            ray[offset + i] = 1
+            rays.append(tuple(ray))
+        ray = [0] * dim
+        ray[offset : offset + n] = [-1] * n
+        ray[dim - fiber.dim :] = t
+        rays.append(tuple(ray))
+        blocks.append(list(combinations(range(start, start + n + 1), n)))
+        offset += n
+    shift = len(rays)
+    rays.extend((0,) * (dim - fiber.dim) + tuple(r) for r in fiber.rays)
+    cones = [
+        tuple(sorted(sum(parts, ()) + tuple(shift + i for i in cone)))
+        for parts in product(*blocks)
+        for cone in fiber.max_cones
+    ]
+    return dim, tuple(rays), tuple(cones)
+
+
+def fano_by_tight_sets(dim, rays, cones) -> bool:
+    """A complete smooth fan is Fano iff the vertices of
+    {u : <u, ray> >= -1} have distinct tight-ray sets, and these are
+    exactly the maximal cones."""
+    tight = [
+        frozenset(i for i, ray in enumerate(rays) if sum(x * c for x, c in zip(u, ray)) == -1)
+        for u in halfspace_vertices(rays, dim)
+    ]
+    return len(set(tight)) == len(tight) and set(tight) == {frozenset(c) for c in cones}
+
+
 def cofactor_det(a):
     """The determinant by cofactor expansion along the first row."""
     if not a:
@@ -242,7 +293,8 @@ def reflection_closure(cartan) -> list[tuple[int, ...]]:
 
 def reference_root_system(types) -> RootSystem:
     """The root system of an ordered list of simple types from the
-    reflection closure, with the Gram matrix summed over all roots."""
+    reflection closure, with the Gram matrix summed over all roots and the
+    positive roots those whose coefficients are all nonnegative."""
     total = sum(t.rank for t in types)
     roots = []
     offset = 0
@@ -257,7 +309,6 @@ def reference_root_system(types) -> RootSystem:
     )
     return RootSystem(
         components=tuple(types),
-        roots=tuple(roots),
-        positive=tuple(all(c >= 0 for c in root) for root in roots),
+        positive_roots=tuple(root for root in roots if all(c >= 0 for c in root)),
         gram=gram,
     )

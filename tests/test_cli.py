@@ -584,6 +584,45 @@ def test_fiber_nesting_limit_names_the_path(capsys, tmp_path):
     assert err.startswith("error: fiber" + ".parts[0]" * limit + ": ")
 
 
+def _refuse(*args):
+    raise AssertionError("built a config over the size bounds")
+
+
+def p1_product_doc(parts):
+    p1 = {"kind": "projective_space", "dim": 1}
+    return {"fiber": {"kind": "product", "parts": [p1] * parts}}
+
+
+@pytest.mark.parametrize(
+    "command, doc, prefix",
+    [
+        ("flag-info", {"base": {"components": [{"letter": "A", "rank": 10**5}], "crossed": [1]}},
+         "base.components: total rank 100000"),
+        ("flag-info", {"base": {"components": [{"letter": "A", "rank": 60},
+                                               {"letter": "D", "rank": 41}], "crossed": [1]}},
+         "base.components: total rank 101"),
+        ("polytope", {"fiber": {"kind": "projective_space", "dim": 10**5}},
+         "fiber: total dimension 100000"),
+        ("polytope", {"fiber": {"kind": "fan", "dim": 10**5, "rays": [], "max_cones": []}},
+         "fiber: total dimension 100000"),
+        ("polytope", p1_product_doc(cli.MAX_FIBER_DIM + 1), "fiber: total dimension 13"),
+    ],
+)
+def test_size_bounds_exit_2_before_building(capsys, tmp_path, monkeypatch, command, doc, prefix):
+    monkeypatch.setattr(cli, "build_root_system", _refuse)
+    monkeypatch.setattr(cli, "projective_space", _refuse)
+    monkeypatch.setattr(cli, "Fan", _refuse)
+    code, out, err = run(capsys, command, write(tmp_path, doc))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {prefix} is over "), err
+
+
+def test_size_bounds_admit_their_limits():
+    ones = [{"letter": "A", "rank": 1}] * cli.MAX_BASE_RANK
+    doc = {"base": {"components": ones, "crossed": []}, **p1_product_doc(cli.MAX_FIBER_DIM)}
+    assert cli.Config(doc).total_rank == cli.MAX_BASE_RANK
+
+
 def test_deep_product_fibers_exit_2_through_main(capsys, tmp_path):
     # Depths on both sides of what json.loads can parse: each must exit 2,
     # by the nesting limit or as invalid JSON, never with a traceback.

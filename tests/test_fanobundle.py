@@ -42,7 +42,9 @@ def test_hirzebruch_pullback_values():
         assert plus.coords == (F(1, 2) - F(n, 4),)
         assert minus.coords == (F(1, 2) + F(n, 4),)
         # The one root of A1 reads h_Q itself at each vertex of [-1, 1].
-        at = {e.vertex: e.value for e in fano_check(flag, fan, tau).margins}
+        verdict = fano_check(flag, fan, tau)
+        vertices = verdict.fiber.polytope.vertices
+        at = {vertices[e.vertex_index]: e.value for e in verdict.margins}
         assert at == {(F(1),): plus.coords[0], (F(-1),): minus.coords[0]}
 
 
@@ -120,7 +122,7 @@ def test_so20_q_o_margin_value():
 def test_point_fiber_reduces_to_flag():
     flag = support.hirzebruch_flag()
     verdict = fano_check(flag, point_fan(), TauMap(()))
-    assert verdict.fiber_fano and verdict.is_fano
+    assert verdict.fiber.fano and verdict.is_fano
     assert verdict.margins == ()
     assert verdict.surjective
 
@@ -128,7 +130,7 @@ def test_point_fiber_reduces_to_flag():
 def test_non_fano_fiber_forces_false():
     flag, tau = support.so4n_flag_tau(8)  # margins would all pass
     verdict = fano_check(flag, support.hirzebruch_surface_fan(2), tau)
-    assert not verdict.fiber_fano
+    assert not verdict.fiber.fano
     assert not verdict.is_fano
     assert verdict.margins  # table still reported for diagnostics
 
@@ -465,7 +467,7 @@ def test_fano_scan_point_fan_has_no_margins():
     flag = support.hirzebruch_flag()
     (verdict,) = fano_scan(flag, point_fan(), TauMap(()), [()])
     assert verdict.margins == ()
-    assert verdict.is_fano and verdict.fiber_fano
+    assert verdict.is_fano and verdict.fiber.fano
 
 
 @lru_cache(maxsize=None)
@@ -542,7 +544,7 @@ def test_pullback_against_killing_form_oracle(base, data):
     entries = fanobundle._table(flag, verdict._pull, vertices)
     assert len(entries) == len(vertices) * len(flag.r_m_plus)
     for e in entries:
-        assert e.value == oracles.pair(e.root, pulled_back[e.vertex])
+        assert e.value == oracles.pair(e.root, pulled_back[vertices[e.vertex_index]])
     # Integrality against tau c, for the drawn coefficients c of each
     # generator over the declared basis.
     k = len(basis)
@@ -601,7 +603,7 @@ def test_reduced_verdict_equals_full_table(base, fiber, data):
     v = fano_check(flag, fan, tau)
     if on_boundary:
         assert min(e.value for e in v.margins) == 0
-    assert v.is_fano == (v.fiber_fano and all(e.value > 0 for e in v.margins))
+    assert v.is_fano == (v.fiber.fano and all(e.value > 0 for e in v.margins))
 
 
 @settings(deadline=None, max_examples=60)
@@ -613,12 +615,12 @@ def test_verdict_margins_pair_each_root_at_each_pullback_point(base, fiber, data
     polytope = canonical_polytope(fan)
     h = {q: oracles.pullback(flag, tau, q) for q in polytope.vertices}
     expected = [
-        (vi, q, root, oracles.pair(root, h[q]))
+        (vi, root, oracles.pair(root, h[q]))
         for vi, q in enumerate(polytope.vertices)
         for root in flag.r_m_plus
     ]
     entries = fano_check(flag, fan, tau).margins
-    assert [(e.vertex_index, e.vertex, e.root, e.value) for e in entries] == expected
+    assert [(e.vertex_index, e.root, e.value) for e in entries] == expected
 
 
 @settings(deadline=None, max_examples=60)
@@ -628,3 +630,63 @@ def test_surjective_is_full_rank_of_tau(base, fiber, data):
     flag, tau = _draw_tau(data, base, fan.dim)
     verdict = fano_check(flag, fan, tau)
     assert verdict.surjective == (oracles.minor_rank(tau.matrix) == fan.dim)
+
+
+def _projective_product_bundle(crossed_ends, fan, matrix):
+    """The engine's verdict on a bundle over P^n_1 x ... x P^n_k, block j
+    entered as A_{n_j} crossed at its first or last node, with tau against
+    the character-dual basis: (n_j + 1) / n_j on each crossed node."""
+    dims = [n for n, _ in crossed_ends]
+    rs = _multi_root_system(*dims)
+    crossed, basis, offset = [], [], 0
+    for n, last in crossed_ends:
+        x = offset + (n - 1 if last else 0)
+        crossed.append(x)
+        basis.append(VectorH(tuple(F(n + 1, n) if i == x else F(0) for i in range(rs.rank))))
+        offset += n
+    flag = build_flag(rs, Painting(tuple(crossed)))
+    return fano_check(flag, fan, TauMap(matrix, tuple(basis))).is_fano
+
+
+@lru_cache(maxsize=None)
+def _multi_root_system(*dims):
+    return build_root_system([SimpleType("A", n) for n in dims])
+
+
+def _total_space_is_fano(dims, fan, matrix, sign=1):
+    columns = [[sign * x for x in col] for col in zip(*matrix)]
+    return oracles.fano_by_tight_sets(*oracles.total_space_fan(dims, fan, columns))
+
+
+def test_total_space_oracle_orientation():
+    # A1 with the basis [[2]] and tau = -(1, 1) on P2: the total space with
+    # rays (-1, t) for t = tau's column is Fano, the one with -t is not.
+    fan, matrix = projective_space(2), ((-1,), (-1,))
+    assert _projective_product_bundle([(1, False)], fan, matrix)
+    assert _total_space_is_fano([1], fan, matrix)
+    assert not _total_space_is_fano([1], fan, matrix, sign=-1)
+
+
+TOTAL_SPACE_FIBERS = {**FIBERS, "F1": support.hirzebruch_surface_fan(1)}
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.lists(st.tuples(st.integers(1, 2), st.booleans()), min_size=1, max_size=2),
+    st.sampled_from(sorted(TOTAL_SPACE_FIBERS)),
+    st.data(),
+)
+def test_verdict_equals_total_space_fan_oracle(crossed_ends, fiber, data):
+    # The verdict against the Fano test of the total space's own fan,
+    # decided from the vertices of its halfspace polytope alone.
+    fan = TOTAL_SPACE_FIBERS[fiber]
+    k = len(crossed_ends)
+    matrix = data.draw(
+        st.lists(
+            st.tuples(*[st.integers(-3, 3)] * k), min_size=fan.dim, max_size=fan.dim
+        )
+    )
+    dims = [n for n, _ in crossed_ends]
+    assert _projective_product_bundle(crossed_ends, fan, tuple(matrix)) == (
+        _total_space_is_fano(dims, fan, matrix)
+    )

@@ -29,8 +29,7 @@ def d_flag(rank, crossed):
 def test_a1_full_flag():
     rs = build_root_system([SimpleType("A", 1)])
     flag = build_flag(rs, Painting((0,)))
-    assert flag.r_m_plus == ((1,),)
-    assert flag.r_o == ()
+    assert flag.r_m_plus == rs.positive_roots == ((1,),)
     assert flag.h_V.coords == (F(1, 2),)
     assert chamber_margins(flag, flag.h_V) == (((1,), F(1, 2)),)
 
@@ -38,7 +37,7 @@ def test_a1_full_flag():
 def test_a2_full_flag_is_borel():
     rs = build_root_system([SimpleType("A", 2)])
     flag = build_flag(rs, Painting((0, 1)))
-    assert flag.r_o == ()
+    assert flag.r_m_plus == rs.positive_roots
     assert len(flag.r_m_plus) == 3
 
 
@@ -93,9 +92,14 @@ def test_h_v_lies_in_zk_and_chamber():
 
 
 def test_r_o_closed_under_negation_and_reflection():
-    rs = build_root_system([SimpleType("D", 4)])
+    # R_o is every root of the closure off the crossed node; R_m+ is the
+    # rest of the positive half.
+    t = SimpleType("D", 4)
+    rs = build_root_system([t])
     flag = build_flag(rs, Painting((1,)))
-    r_o = set(flag.r_o)
+    roots = oracles.reflection_closure(t.cartan_matrix())
+    r_o = {r for r in roots if r[1] == 0}
+    assert set(flag.r_m_plus) == {r for r in roots if r[1] > 0}
     for a in r_o:
         assert tuple(-c for c in a) in r_o
     for a in r_o:

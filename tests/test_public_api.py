@@ -1,5 +1,7 @@
-"""The package's public surface: what __all__ offers and what _linalg keeps."""
+"""The package's public surface: what __all__ offers, what the engine's
+records store, and what _linalg keeps."""
 
+import dataclasses
 import inspect
 
 import fanotoric
@@ -49,3 +51,29 @@ def test_linalg_keeps_only_rank_and_inverse():
         and value.__module__ == _linalg.__name__
     )
     assert public == ["invert", "matrix_rank"]
+
+
+# Each record stores a fact once: no field copies another field of the same
+# record or of its input, and none is left for no reader.
+RECORD_FIELDS = {
+    "RootSystem": ["components", "positive_roots", "gram"],
+    "FlagManifold": [
+        "rs",
+        "painting",
+        "r_m_plus",
+        "zk_basis_default",
+        "h_V",
+        "_crossed_inverse",
+        "_restrictions",
+        "_restriction_of",
+    ],
+    "Polytope": ["dim", "vertices"],
+    "FanoVerdict": ["is_fano", "fiber", "_flag", "_pull"],
+    "MarginEntry": ["vertex_index", "root", "value"],
+}
+
+
+def test_records_store_each_fact_once():
+    for name, expected in RECORD_FIELDS.items():
+        record = getattr(fanotoric, name)
+        assert [f.name for f in dataclasses.fields(record)] == expected, name

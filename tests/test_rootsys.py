@@ -10,15 +10,14 @@ from fanotoric import InputError, SimpleType, VectorH, _linalg, build_root_syste
 
 def test_a1_by_hand():
     rs = build_root_system([SimpleType("A", 1)])
-    assert rs.roots == ((-1,), (1,))
-    assert rs.positive == (False, True)
+    assert rs.positive_roots == ((1,),)
     assert rs.gram == ((2,),)
 
 
 def test_a2_gram_by_hand():
     # Sum of c c^T over the six roots +-a1, +-a2, +-(a1+a2).
     rs = build_root_system([SimpleType("A", 2)])
-    assert len(rs.roots) == 6
+    assert rs.positive_roots == ((0, 1), (1, 0), (1, 1))
     assert rs.gram == ((4, 2), (2, 4))
 
 
@@ -34,7 +33,7 @@ ADMISSIBLE_TO_RANK_20 = [
     "t", ADMISSIBLE_TO_RANK_20, ids=[f"{t.letter}{t.rank}" for t in ADMISSIBLE_TO_RANK_20]
 )
 def test_roots_equal_the_reflection_closure(t):
-    # Roots, positive flags and the Gram matrix, each against the reference.
+    # Positive roots and the Gram matrix, each against the reference.
     assert build_root_system([t]) == oracles.reference_root_system([t])
 
 
@@ -72,8 +71,7 @@ def test_multi_component_roots_equal_the_reflection_closure(types, data):
 )
 def test_classical_root_counts(letter, rank, count):
     rs = build_root_system([SimpleType(letter, rank)])
-    assert len(rs.roots) == count
-    assert sum(rs.positive) == count // 2
+    assert 2 * len(rs.positive_roots) == count
 
 
 @pytest.mark.parametrize(
@@ -81,20 +79,25 @@ def test_classical_root_counts(letter, rank, count):
     [("A", 3), ("A", 5), ("B", 2), ("B", 4), ("C", 3), ("C", 4), ("D", 3), ("D", 5)],
 )
 def test_generated_roots_match_orthogonal_model(letter, rank):
+    # The standard simple roots make a root positive iff its first nonzero
+    # orthogonal coordinate is.
     rs = build_root_system([SimpleType(letter, rank)])
-    mapped = {oracles.coeffs_to_e(letter, rank, root) for root in rs.roots}
-    assert mapped == oracles.all_roots_e(letter, rank)
+    mapped = {oracles.coeffs_to_e(letter, rank, root) for root in rs.positive_roots}
+    assert mapped == {
+        v for v in oracles.all_roots_e(letter, rank) if next(c for c in v if c) > 0
+    }
 
 
 @pytest.mark.parametrize("letter,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2)])
 def test_positivity_split(letter, rank):
-    rs = build_root_system([SimpleType(letter, rank)])
-    for root, pos in zip(rs.roots, rs.positive):
-        assert tuple(-c for c in root) in rs.roots
-        if pos:
-            assert all(c >= 0 for c in root)
-        else:
-            assert all(c <= 0 for c in root)
+    # The closure splits into roots with all coefficients >= 0 or all <= 0;
+    # the engine keeps the first half.
+    t = SimpleType(letter, rank)
+    roots = oracles.reflection_closure(t.cartan_matrix())
+    assert all(all(c >= 0 for c in r) or all(c <= 0 for c in r) for r in roots)
+    positive = [r for r in roots if all(c >= 0 for c in r)]
+    assert 2 * len(positive) == len(roots)
+    assert build_root_system([t]).positive_roots == tuple(positive)
 
 
 @pytest.mark.parametrize("letter,rank", [("A", 2), ("B", 3), ("D", 4), ("F", 4)])
@@ -126,13 +129,16 @@ def test_gram_invariant_under_diagram_automorphisms(letter, rank):
 
 @pytest.mark.parametrize("letter,rank", [("A", 2), ("B", 2), ("G", 2), ("D", 4)])
 def test_reflection_closure(letter, rank):
-    rs = build_root_system([SimpleType(letter, rank)])
-    roots = set(rs.roots)
-    duals = {root: oracles.killing_dual(rs, root) for root in rs.roots}
-    for a in rs.roots:
+    # Reflections read off the engine's Gram matrix map the whole root
+    # system, taken from the oracle, to itself.
+    t = SimpleType(letter, rank)
+    rs = build_root_system([t])
+    roots = set(oracles.reflection_closure(t.cartan_matrix()))
+    duals = {root: oracles.killing_dual(rs, root) for root in roots}
+    for a in roots:
         norm = oracles.pair(a, duals[a])
         assert norm > 0
-        for b in rs.roots:
+        for b in roots:
             pairing = 2 * oracles.pair(b, duals[a]) / norm
             assert pairing.denominator == 1
             image = tuple(cb - pairing * ca for ca, cb in zip(a, b))
@@ -175,10 +181,12 @@ def test_d_gram_is_scaled_identity_in_orthogonal_coordinates(rank, expected):
 
 @pytest.mark.parametrize("letter,rank", [("A", 2), ("B", 2), ("G", 2)])
 def test_killing_dual_symmetry(letter, rank):
-    rs = build_root_system([SimpleType(letter, rank)])
-    duals = {root: oracles.killing_dual(rs, root) for root in rs.roots}
-    for a in rs.roots:
-        for b in rs.roots:
+    t = SimpleType(letter, rank)
+    rs = build_root_system([t])
+    roots = oracles.reflection_closure(t.cartan_matrix())
+    duals = {root: oracles.killing_dual(rs, root) for root in roots}
+    for a in roots:
+        for b in roots:
             lhs = oracles.killing_form(rs, duals[a], duals[b])
             assert lhs == oracles.pair(a, duals[b])
             assert lhs == oracles.pair(b, duals[a])
@@ -194,11 +202,11 @@ def test_evaluate_dual_basis():
 
 def test_multi_component_block_structure():
     rs = build_root_system([SimpleType("A", 1), SimpleType("A", 1)])
-    assert rs.roots == ((-1, 0), (0, -1), (0, 1), (1, 0))
+    assert rs.positive_roots == ((0, 1), (1, 0))
     assert rs.gram == ((2, 0), (0, 2))
     rs2 = build_root_system([SimpleType("A", 1), SimpleType("B", 2)])
     assert rs2.rank == 3
-    assert len(rs2.roots) == 2 + 8
+    assert len(rs2.positive_roots) == 1 + 4
     assert rs2.gram[0][1] == rs2.gram[0][2] == 0
 
 
@@ -219,4 +227,4 @@ def test_empty_spec_rejected():
 
 def test_roots_sorted_deterministically():
     rs = build_root_system([SimpleType("B", 3)])
-    assert list(rs.roots) == sorted(rs.roots)
+    assert list(rs.positive_roots) == sorted(rs.positive_roots)
