@@ -384,16 +384,16 @@ def _flag_report(flag: FlagManifold) -> dict:
 
 
 def _fiber_report(fan: Fan, diag: FanDiagnostics) -> dict:
-    rep: dict = {
+    return {
         "dim": fan.dim,
         "smooth": diag.smooth,
         "complete": diag.complete,
-        "effective": diag.effective,
+        # Reports are built for smooth complete fans only, and the rays of a
+        # unimodular cone are a lattice basis: the rays span the lattice.
+        "effective": True,
+        "fano": diag.fano,
+        "polytope_vertices": [_vec(v) for v in diag.polytope.vertices],
     }
-    if diag.polytope is not None:
-        rep["fano"] = diag.fano
-        rep["polytope_vertices"] = [_vec(v) for v in diag.polytope.vertices]
-    return rep
 
 
 def _margins_json(entries, vertices: list[list[str]]) -> list[dict]:
@@ -506,13 +506,11 @@ def _human_lines(report: dict) -> list[str]:
         f = report["fiber"]
         lines.append("== fiber ==")
         lines.append(f"dim: {f['dim']}")
-        for key in ("smooth", "complete", "effective"):
+        for key in ("smooth", "complete", "effective", "fano"):
             lines.append(f"{key}: {'yes' if f[key] else 'no'}")
-        if "fano" in f:
-            lines.append(f"fano: {'yes' if f['fano'] else 'no'}")
-            lines.append("polytope vertices:")
-            for v in f["polytope_vertices"]:
-                lines.append(f"  [{', '.join(v)}]")
+        lines.append("polytope vertices:")
+        for v in f["polytope_vertices"]:
+            lines.append(f"  [{', '.join(v)}]")
     if "verdict" in report:
         v = report["verdict"]
         lines.append("== verdict ==")

@@ -69,13 +69,15 @@ class Fan:
 
 @dataclass(frozen=True)
 class FanDiagnostics:
-    """Fan structure; fano and polytope are None unless smooth and complete."""
+    """Whether a fan is smooth and complete, and its non-unimodular cones.
+
+    fano and polytope are None unless the fan is smooth and complete.  Such a
+    fan's rays span the lattice, as each maximal cone's rays are a basis.
+    """
 
     smooth: bool
     complete: bool
-    effective: bool
     non_unimodular_cones: tuple[int, ...]
-    facet_defects: int
     fano: bool | None
     polytope: Polytope | None
 
@@ -90,40 +92,6 @@ class Polytope:
 
 def _dot(u: tuple[Fraction, ...], ray: Ray) -> Fraction:
     return sum((x * c for x, c in zip(u, ray) if c), Fraction(0))
-
-
-def _spans_lattice(fan: Fan) -> bool:
-    """Whether the rays generate the full cocharacter lattice over Z."""
-    if fan.dim == 0:
-        return True
-    rows = [list(r) for r in fan.rays]
-    m, n = len(rows), fan.dim
-    rank = 0
-    pivots: list[int] = []
-    for col in range(n):
-        while True:
-            live = [i for i in range(rank, m) if rows[i][col] != 0]
-            if not live:
-                break
-            live.sort(key=lambda i: abs(rows[i][col]))
-            base = live[0]
-            done = True
-            for i in live[1:]:
-                q = rows[i][col] // rows[base][col]
-                rows[i] = [a - q * b for a, b in zip(rows[i], rows[base])]
-                if rows[i][col] != 0:
-                    done = False
-            if done:
-                rows[rank], rows[base] = rows[base], rows[rank]
-                pivots.append(abs(rows[rank][col]))
-                rank += 1
-                break
-    if rank < n:
-        return False
-    index = 1
-    for p in pivots:
-        index *= p
-    return index == 1
 
 
 def _covers_once(fan: Fan, inverses: list[tuple[Fraction, list]]) -> bool:
@@ -141,7 +109,7 @@ def _covers_once(fan: Fan, inverses: list[tuple[Fraction, list]]) -> bool:
 
 
 def validate_fan(fan: Fan) -> FanDiagnostics:
-    """Report smoothness, completeness and effectiveness of a fan.
+    """Report smoothness and completeness of a fan.
 
     Complete means the cones tile R^dim: every facet lies in exactly two
     maximal cones, on opposite sides of its hyperplane, and a generic point
@@ -159,11 +127,9 @@ def validate_fan(fan: Fan) -> FanDiagnostics:
     for cone, (det, _) in zip(fan.max_cones, inverses):
         for i in range(fan.dim):
             sides.setdefault(cone[:i] + cone[i + 1 :], []).append((-1) ** i * det)
-    defects = sum(1 for v in sides.values() if len(v) != 2)
     complete = (
         bool(fan.max_cones)
-        and defects == 0
-        and all(a * b < 0 for a, b in sides.values())
+        and all(len(v) == 2 and v[0] * v[1] < 0 for v in sides.values())
         and (fan.dim == 0 or _covers_once(fan, inverses))
     )
     fano = polytope = None
@@ -180,9 +146,7 @@ def validate_fan(fan: Fan) -> FanDiagnostics:
     return FanDiagnostics(
         smooth=not bad,
         complete=complete,
-        effective=_spans_lattice(fan),
         non_unimodular_cones=bad,
-        facet_defects=defects,
         fano=fano,
         polytope=polytope,
     )

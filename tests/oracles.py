@@ -5,9 +5,11 @@ of rootsys: the classical roots enumerated directly in the
 orthogonal-coordinate model, and the whole root system built by closing
 the simple roots under the simple reflections.  The polytope oracle
 enumerates vertices of {u : <u, ray> >= -1} by intersecting subsets of
-boundary hyperplanes, bypassing the fixed-point method.  The total-space
-oracle writes down the fan of a bundle over a product of projective spaces
-and decides it Fano from the tight rays of those vertices alone.
+boundary hyperplanes, bypassing the fixed-point method.  The lattice oracle
+decides whether a fan's rays span Z^dim by integer row reduction.  The
+total-space oracle writes down the fan of a bundle over a product of
+projective spaces and decides it Fano from the tight rays of those vertices
+alone.
 
 The Killing form, the Killing dual over the full r x r Gram matrix, the
 pullback Q -> h_Q solved against the Killing form, the root pairing and the
@@ -194,6 +196,33 @@ def halfspace_vertices(rays, dim) -> frozenset[tuple[Fraction, ...]]:
         ):
             found.add(tuple(u))
     return frozenset(found)
+
+
+def spans_lattice(rays, dim) -> bool:
+    """Whether the integer rays generate Z^dim, by integer row reduction:
+    Euclid's algorithm down each column leaves one pivot per column, and
+    the rays span iff there are dim pivots whose product is +-1."""
+    rows = [list(r) for r in rays]
+    rank = 0
+    index = 1
+    for col in range(dim):
+        while True:
+            live = sorted(
+                (i for i in range(rank, len(rows)) if rows[i][col]),
+                key=lambda i: abs(rows[i][col]),
+            )
+            if not live:
+                return False
+            base = live[0]
+            for i in live[1:]:
+                q = rows[i][col] // rows[base][col]
+                rows[i] = [a - q * b for a, b in zip(rows[i], rows[base])]
+            if all(rows[i][col] == 0 for i in live[1:]):
+                break
+        rows[rank], rows[base] = rows[base], rows[rank]
+        index *= rows[rank][col]
+        rank += 1
+    return abs(index) == 1
 
 
 def total_space_fan(block_dims, fiber, columns):

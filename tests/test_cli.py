@@ -145,6 +145,26 @@ def test_overlapping_fans_exit_2(capsys, name):
     assert code == 2 and "not smooth and complete" in err
 
 
+def test_degenerate_cone_fan_exits_2_without_traceback(capsys, tmp_path):
+    # Cone 2 holds two opposite rays: its determinant is 0, yet every facet
+    # lies in two cones.  The facet test refuses it before the cover test.
+    doc = a3_p2_doc({"kind": "scale", "range": [0, 2]})
+    doc["fiber"] = {
+        "kind": "fan",
+        "rays": [[1, 0], [0, 1], [-1, 0], [0, -1]],
+        "max_cones": [[0, 1], [1, 2], [0, 2]],
+    }
+    path = write(tmp_path, doc)
+    not_smooth = "error: fan is not smooth: non-unimodular cones (2,)\n"
+    assert run(capsys, "check", path) == (2, "", not_smooth)
+    assert run(capsys, "scan", path) == (2, "", not_smooth)
+    assert run(capsys, "polytope", path) == (
+        2,
+        "",
+        "error: fan is not smooth and complete; no canonical polytope\n",
+    )
+
+
 def test_check_f2_bundle_not_fano(capsys):
     report = run_json(capsys, "check", str(CONFIGS / "f2_bundle.json"))
     assert report["verdict"]["fiber_fano"] is False

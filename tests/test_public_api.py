@@ -67,6 +67,7 @@ RECORD_FIELDS = {
         "_restrictions",
         "_restriction_of",
     ],
+    "FanDiagnostics": ["smooth", "complete", "non_unimodular_cones", "fano", "polytope"],
     "Polytope": ["dim", "vertices"],
     "FanoVerdict": ["is_fano", "fiber", "_flag", "_pull"],
     "MarginEntry": ["vertex_index", "root", "value"],

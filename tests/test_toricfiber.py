@@ -1,5 +1,8 @@
 import json
+from collections import Counter
 from fractions import Fraction as F
+from itertools import combinations
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -29,9 +32,18 @@ def cp2():
     return projective_space(2)
 
 
+def facet_defects(fan):
+    """How many facets (a maximal cone less one ray) do not lie in exactly
+    two maximal cones."""
+    counts = Counter(frozenset(cone) - {i} for cone in fan.max_cones for i in cone)
+    return sum(1 for n in counts.values() if n != 2)
+
+
 def test_cp1_fan_valid():
-    diag = validate_fan(cp1())
-    assert diag.smooth and diag.complete and diag.effective
+    fan = cp1()
+    diag = validate_fan(fan)
+    assert diag.smooth and diag.complete
+    assert oracles.spans_lattice(fan.rays, fan.dim)
 
 
 def test_single_cone_not_complete():
@@ -39,7 +51,7 @@ def test_single_cone_not_complete():
     diag = validate_fan(fan)
     assert diag.smooth
     assert not diag.complete
-    assert diag.facet_defects == 2
+    assert facet_defects(fan) == 2
 
 
 def test_nonprimitive_ray_rejected():
@@ -72,7 +84,44 @@ def test_non_unimodular_cone_reported():
     diag = validate_fan(fan)
     assert not diag.smooth
     assert diag.non_unimodular_cones == (0,)
-    assert not diag.effective
+    assert not oracles.spans_lattice(fan.rays, fan.dim)
+
+
+@pytest.mark.parametrize(
+    "rays, dim",
+    [
+        (((2,), (3,)), 1),
+        (((4,), (6,)), 1),
+        (((3, 5), (5, 8)), 2),
+        (((2, 0), (0, 2), (1, 1)), 2),
+        (((1, 1), (1, -1)), 2),
+        (((1, 0),), 2),
+        (((0, 1), (0, -1)), 2),
+        (((1, 2, 3), (0, 3, 1), (2, 1, 5), (1, 1, 1)), 3),
+        ((), 0),
+    ],
+)
+def test_spans_lattice_oracle_agrees_with_maximal_minors(rays, dim):
+    # Z^dim is spanned iff the dim x dim minors have gcd 1.
+    minors = [
+        oracles.cofactor_det([list(rays[i]) for i in sub])
+        for sub in combinations(range(len(rays)), dim)
+    ]
+    assert oracles.spans_lattice(rays, dim) == (gcd(*minors) == 1)
+
+
+def test_degenerate_cone_with_paired_facets_is_neither_smooth_nor_complete():
+    # Cone 2 holds two opposite rays, so its determinant is 0.  Every facet
+    # still lies in two cones, but the facet (0,) has a side of 0 from cone
+    # 2: the pair is refused before the cover test, which reads each cone's
+    # inverse.
+    rays = ((1, 0), (0, 1), (-1, 0), (0, -1))
+    fan = Fan(2, rays, ((0, 1), (1, 2), (0, 2)))
+    assert facet_defects(fan) == 0
+    diag = validate_fan(fan)
+    assert not diag.smooth and not diag.complete
+    assert diag.non_unimodular_cones == (2,)
+    assert diag.polytope is None
 
 
 def test_is_fano_classics():
@@ -207,9 +256,11 @@ def test_f3_vertex_strictly_violates_halfspace():
 
 
 def test_point_fan_valid_and_complete():
-    diag = validate_fan(point_fan())
-    assert diag.smooth and diag.complete and diag.effective
-    assert is_fano(point_fan())
+    fan = point_fan()
+    diag = validate_fan(fan)
+    assert diag.smooth and diag.complete
+    assert oracles.spans_lattice(fan.rays, 0)
+    assert is_fano(fan)
 
 
 FANS = Path(__file__).resolve().parent / "fans"
@@ -230,8 +281,10 @@ def test_overlapping_pseudomanifold_fans_are_not_complete(name):
     fan = fixture_fan(name)
     for turn in range(len(fan.max_cones)):
         cones = fan.max_cones[turn:] + fan.max_cones[:turn]
-        diag = validate_fan(Fan(fan.dim, fan.rays, cones))
-        assert diag.smooth and diag.facet_defects == 0
+        turned = Fan(fan.dim, fan.rays, cones)
+        assert facet_defects(turned) == 0
+        diag = validate_fan(turned)
+        assert diag.smooth
         assert not diag.complete and diag.polytope is None
     with pytest.raises(DomainError, match="fan is not complete"):
         is_fano(fan)
@@ -243,9 +296,8 @@ def test_cones_folded_back_over_a_ray_are_not_complete():
     # one cone, but the two cones on (1, -1) lie on the same side of it.
     rays = ((1, 0), (0, 1), (-1, 0), (0, -1), (1, -1), (1, -2))
     fan = Fan(2, rays, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)))
-    diag = validate_fan(fan)
-    assert diag.facet_defects == 0
-    assert not diag.complete
+    assert facet_defects(fan) == 0
+    assert not validate_fan(fan).complete
 
 
 SHUFFLED = {
@@ -339,7 +391,8 @@ def test_generated_surfaces_fano_iff_every_b_at_most_one(rays, data):
     fano = max(self_intersections(rays)) <= 1
     fan = shuffle(surface_fan(rays), data)
     diag = validate_fan(fan)
-    assert diag.smooth and diag.complete and diag.effective
+    assert diag.smooth and diag.complete
+    assert oracles.spans_lattice(fan.rays, 2)
     assert diag.fano == fano
     poly = diag.polytope
     for u, cone in zip(poly.vertices, fan.max_cones):
