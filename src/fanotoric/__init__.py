@@ -3,7 +3,6 @@
 from .errors import DomainError, InputError
 from .fanobundle import (
     FanoVerdict,
-    MarginEntry,
     TauMap,
     fano_check,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "FanDiagnostics",
     "FanoVerdict",
     "FlagManifold",
-    "MarginEntry",
     "Painting",
     "Polytope",
     "RootSystem",

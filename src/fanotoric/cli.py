@@ -14,7 +14,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from itertools import product as iter_product, tee
+from itertools import chain, product as iter_product, tee
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -396,32 +396,25 @@ def _fiber_report(fan: Fan, diag: FanDiagnostics) -> dict:
     }
 
 
-def _margins_json(entries, vertices: list[list[str]]) -> list[dict]:
-    """Entries as report dicts; vertices[i] is vertex i, rendered once.
+def _margins_json(table, r_m_plus, vertices: list[list[str]]) -> list[dict]:
+    """The margin table as report dicts, vertex-major in R_m+ order.
 
-    Each distinct root shares one list and each distinct value one string.
-    Values are keyed by numerator and denominator: hashing a Fraction costs
-    more than writing it.
+    vertices[i] is vertex i, rendered once; each root of R_m+ shares one
+    list and each distinct value one string.  Values are keyed by numerator
+    and denominator: hashing a Fraction costs more than writing it.
     """
-    roots: dict[tuple, list[int]] = {}
+    roots = [list(root) for root in r_m_plus]
     values: dict[tuple[int, int], str] = {}
     out = []
-    for e in entries:
-        root = roots.get(e.root)
-        if root is None:
-            root = roots[e.root] = list(e.root)
-        key = (e.value.numerator, e.value.denominator)
-        value = values.get(key)
-        if value is None:
-            value = values[key] = _rat(e.value)
-        out.append(
-            {
-                "vertex_index": e.vertex_index,
-                "vertex": vertices[e.vertex_index],
-                "root": root,
-                "value": value,
-            }
-        )
+    for i, row in enumerate(table):
+        for root, value in zip(roots, row):
+            key = (value.numerator, value.denominator)
+            text = values.get(key)
+            if text is None:
+                text = values[key] = _rat(value)
+            out.append(
+                {"vertex_index": i, "vertex": vertices[i], "root": root, "value": text}
+            )
     return out
 
 
@@ -439,7 +432,7 @@ def _oracle_report(
         return None
     from . import numcheck  # numpy is loaded only when a comparison runs
     exact_match = all(
-        tuple(numcheck.fixed_point_delta(m, i).values) == poly.vertices[i]
+        numcheck.fixed_point_delta(m, i) == poly.vertices[i]
         for i in range(m + 1)
     )
     fs_err = 0.0
@@ -447,7 +440,7 @@ def _oracle_report(
         point = numcheck.SamplePoint(
             tuple(1.0 + 0j if k == i else 0j for k in range(m + 1))
         )
-        delta = numcheck.fs_delta(m, point).values
+        delta = numcheck.fs_delta(m, point)
         fs_err = max(
             fs_err,
             max(abs(d - float(v)) for d, v in zip(delta, poly.vertices[i])),
@@ -455,7 +448,7 @@ def _oracle_report(
     samples = numcheck.random_points(m, 200, seed=0)
     slack = 1e-6
     inside = all(
-        sum(d * c for d, c in zip(numcheck.fs_delta(m, p).values, ray)) >= -1 - slack
+        sum(d * c for d, c in zip(numcheck.fs_delta(m, p), ray)) >= -1 - slack
         for p in samples
         for ray in fan.rays
     )
@@ -474,20 +467,12 @@ def _oracle_report(
     }
 
 
-def _margin_lines(entries: list[dict], heads: list[str], roots: dict[int, str]) -> list[str]:
-    """One line per entry; heads[i] is the text before vertex i's roots.
-
-    roots memoizes each root list's text by id: _margins_json shares one
-    list per distinct root, and the report holds every list while it prints.
-    """
-    lines = []
-    for e in entries:
-        root = e["root"]
-        text = roots.get(id(root))
-        if text is None:
-            text = roots[id(root)] = str(root)
-        lines.append(f"{heads[e['vertex_index']]}{text} -> {e['value']}")
-    return lines
+def _margin_lines(entries: list[dict], heads: list[str]) -> list[str]:
+    """One line per entry; heads[i] is the text before vertex i's roots."""
+    return [
+        f"{heads[e['vertex_index']]}{e['root']} -> {e['value']}"
+        for e in entries
+    ]
 
 
 def _human_lines(report: dict) -> list[str]:
@@ -521,11 +506,10 @@ def _human_lines(report: dict) -> list[str]:
             f"  vertex {i} [{', '.join(q)}] root "
             for i, q in enumerate(report["fiber"]["polytope_vertices"])
         ]
-        roots: dict[int, str] = {}
         lines.append("margins:")
-        lines.extend(_margin_lines(report["margins"], heads, roots) or ["  (none)"])
+        lines.extend(_margin_lines(report["margins"], heads) or ["  (none)"])
         lines.append("violations:" if report["violations"] else "violations: (none)")
-        lines.extend(_margin_lines(report["violations"], heads, roots))
+        lines.extend(_margin_lines(report["violations"], heads))
         if "tau_integrality" in report:
             value = report["tau_integrality"]
             text = "not checked" if value == "not checked" else ("yes" if value else "no")
@@ -571,7 +555,7 @@ def cmd_check(cfg: Config, oracle: bool) -> dict:
     verdict = fano_check(flag, fan, tau)
     integrality = verdict.integrality(cfg.cocharacter_basis)
     fiber = _fiber_report(fan, verdict.fiber)
-    margins = _margins_json(verdict.margins, fiber["polytope_vertices"])
+    margins = _margins_json(verdict.margins, flag.r_m_plus, fiber["polytope_vertices"])
     report = {
         "config": cfg.echo,
         "flag": _flag_report(flag),
@@ -582,7 +566,11 @@ def cmd_check(cfg: Config, oracle: bool) -> dict:
         },
         "margins": margins,
         # The denominator is positive: the numerator carries the sign.
-        "violations": [d for d, e in zip(margins, verdict.margins) if e.value.numerator <= 0],
+        "violations": [
+            d
+            for d, value in zip(margins, chain.from_iterable(verdict.margins))
+            if value.numerator <= 0
+        ],
         "tau_integrality": "not checked" if integrality is None else integrality,
         "warnings": warnings,
     }
@@ -697,13 +685,13 @@ def _json_text(report: Any) -> str:
     With indent set, json gives up its C encoder for a Python one. This
     writer keeps json's text for dicts with str keys, lists, str, bool, int,
     None and float, and writes each list of leaves of one type once per
-    content and depth. Floats and any other leaf go to json itself, so NaN,
-    Infinity and -0.0 stay json's own.
+    object and depth: a report shares one list per root and per vertex.
+    Floats and any other leaf go to json itself, so NaN, Infinity and -0.0
+    stay json's own.
     """
     out: list[str] = []
-    by_content: dict[tuple, str] = {}
-    # A list met again as the same object skips the content key; the entry
-    # holds the list, so its id cannot pass to another object meanwhile.
+    # A list met again as the same object reuses its text; the entry holds
+    # the list, so its id cannot pass to another object meanwhile.
     by_object: dict[tuple[int, int], tuple[list, str]] = {}
 
     def write(v: Any, depth: int) -> None:
@@ -734,11 +722,7 @@ def _json_text(report: Any) -> str:
             kind = type(v[0])
             leaf = _LEAF_TEXT.get(kind)
             if leaf is not None and all(type(x) is kind for x in v):
-                key = (depth, kind, tuple(v))
-                text = by_content.get(key)
-                if text is None:
-                    text = "[" + inner + ("," + inner).join(map(leaf, v)) + close
-                    by_content[key] = text
+                text = "[" + inner + ("," + inner).join(map(leaf, v)) + close
                 by_object[id(v), depth] = (v, text)
                 out.append(text)
                 return

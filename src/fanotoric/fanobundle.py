@@ -17,7 +17,7 @@ Gram block, inverted once per flag; B the basis's crossed coordinates,
 inverted once per basis).  By the lemma of flagbase.in_chamber, every margin
 is positive iff the k crossed coordinates of every h_Q (_lift) are, so the
 verdict is decided on k |V| inequalities.  Every other per-tau fact is read
-off the verdict's own P: the |R_m+| x |V| margin table (_table), the rank of
+off the verdict's own P: the |V| x |R_m+| margin table (_table), the rank of
 tau, and the integrality of tau on lattice generators.
 
 fano_scan is the one verdict path and the one place a bundle is validated
@@ -35,7 +35,7 @@ from typing import Iterable, Iterator, Sequence
 from . import _linalg
 from .errors import DomainError, InputError
 from .flagbase import FlagManifold, _pair
-from .rootsys import Root, VectorH
+from .rootsys import VectorH
 # is_fano stays bound here: perfbench/test_bench.py checks that the tracer
 # rebinds names imported from toricfiber, and reads fanobundle.is_fano.
 from .toricfiber import Fan, FanDiagnostics, _require_smooth_complete
@@ -76,23 +76,15 @@ class TauMap:
 
 
 @dataclass(frozen=True)
-class MarginEntry:
-    """alpha(h_Q) for the root alpha at vertex Q = polytope.vertices[vertex_index]."""
-
-    vertex_index: int
-    root: Root
-    value: Fraction
-
-
-@dataclass(frozen=True)
 class FanoVerdict:
     """The verdict on one tau, with the fiber pass it was decided on.
 
     is_fano is decided on the crossed simple roots alone (the fiber's own
-    flag is fiber.fano).  margins (alpha(h_Q) for every polytope vertex Q
-    and alpha in R_m+, vertex-major in R_m+ order) and surjective are built
-    on first read, and integrality at each call, from the pullback matrix P
-    of the verdict; none takes part in ==.  A point fiber has no margins.
+    flag is fiber.fano).  margins is the table of alpha(h_Q), one row per
+    polytope vertex: margins[i][j] is flag.r_m_plus[j] at
+    fiber.polytope.vertices[i].  It and surjective are built on first read,
+    and integrality at each call, from the pullback matrix P of the verdict;
+    none takes part in ==.  A point fiber has no margins.
     """
 
     is_fano: bool
@@ -101,7 +93,7 @@ class FanoVerdict:
     _pull: list[list[Fraction]] = field(repr=False, compare=False)
 
     @cached_property
-    def margins(self) -> tuple[MarginEntry, ...]:
+    def margins(self) -> tuple[tuple[Fraction, ...], ...]:
         polytope = self.fiber.polytope
         return _table(self._flag, self._pull, polytope.vertices) if polytope.dim else ()
 
@@ -196,13 +188,11 @@ def _lift(flag: FlagManifold, pull: Rows, q: Sequence[Fraction]) -> Iterator[Fra
     return (_dot(row, q, h_v[x]) for x, row in zip(flag.painting.crossed, pull))
 
 
-def _table(flag: FlagManifold, pull: Rows, vertices: Rows) -> tuple[MarginEntry, ...]:
-    """alpha(h_Q) for every vertex Q and alpha in R_m+, vertex-major."""
-    return tuple(
-        MarginEntry(vi, root, value)
-        for vi, q in enumerate(vertices)
-        for root, value in _pair(flag, tuple(_lift(flag, pull, q)))
-    )
+def _table(
+    flag: FlagManifold, pull: Rows, vertices: Rows
+) -> tuple[tuple[Fraction, ...], ...]:
+    """alpha(h_Q) for every vertex Q (rows) and alpha in R_m+ (columns)."""
+    return tuple(_pair(flag, tuple(_lift(flag, pull, q))) for q in vertices)
 
 
 def fano_scan(

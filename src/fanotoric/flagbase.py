@@ -108,18 +108,20 @@ def build_flag(rs: RootSystem, painting: Painting) -> FlagManifold:
 def chamber_margins(
     flag: FlagManifold, h: VectorH
 ) -> tuple[tuple[Root, Fraction], ...]:
-    """Evaluations alpha(h) for every alpha in R_m+, in root order.
+    """Each root alpha of R_m+ with its evaluation alpha(h), in R_m+ order.
 
     h must lie in z(k); membership in the chamber means every returned
     value is strictly positive.  h vanishes on the uncrossed nodes, so
     only its crossed coordinates pair (_pair).
     """
     _require_zk(flag, h)
-    return _pair(flag, [h.coords[x] for x in flag.painting.crossed])
+    values = _pair(flag, [h.coords[x] for x in flag.painting.crossed])
+    return tuple(zip(flag.r_m_plus, values))
 
 
-def _pair(flag: FlagManifold, h: Sequence[Fraction]) -> tuple[tuple[Root, Fraction], ...]:
-    """alpha(h) for every alpha in R_m+, from the crossed coordinates of h in z(k).
+def _pair(flag: FlagManifold, h: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """alpha(h) for every alpha in R_m+, in R_m+ order, from the crossed
+    coordinates of h in z(k).
 
     alpha(h) depends on alpha only through its restriction to the crossed
     nodes, so each distinct restriction is paired with h once and every
@@ -129,7 +131,7 @@ def _pair(flag: FlagManifold, h: Sequence[Fraction]) -> tuple[tuple[Root, Fracti
         sum((n * c for n, c in zip(row, h) if n), Fraction(0))
         for row in flag._restrictions
     ]
-    return tuple(zip(flag.r_m_plus, map(values.__getitem__, flag._restriction_of)))
+    return tuple(map(values.__getitem__, flag._restriction_of))
 
 
 def in_chamber(flag: FlagManifold, h: VectorH) -> bool:

@@ -38,30 +38,18 @@ class SamplePoint:
             raise InputError("homogeneous coordinates must not all vanish")
         object.__setattr__(self, "coords", coords)
 
-    @property
-    def chart(self) -> int:
-        """Index of the affine chart where the point is best conditioned."""
-        mags = [abs(c) for c in self.coords]
-        return mags.index(max(mags))
 
-
-@dataclass(frozen=True)
-class DeltaValue:
-    """Moment values on the m standard torus generators."""
-
-    values: tuple
-
-
-def fs_delta(m: int, p: SamplePoint) -> DeltaValue:
-    """Moment coordinates of p for the anticanonically scaled metric."""
+def fs_delta(m: int, p: SamplePoint) -> tuple[float, ...]:
+    """Moment coordinates of p for the anticanonically scaled metric, one per
+    standard torus generator."""
     if len(p.coords) != m + 1:
         raise InputError(f"expected {m + 1} homogeneous coordinates")
     norms = [abs(c) ** 2 for c in p.coords]
     total = sum(norms)
-    return DeltaValue(tuple((m + 1) * norms[j] / total - 1.0 for j in range(1, m + 1)))
+    return tuple((m + 1) * norms[j] / total - 1.0 for j in range(1, m + 1))
 
 
-def fixed_point_delta(m: int, fixed_point_index: int) -> DeltaValue:
+def fixed_point_delta(m: int, fixed_point_index: int) -> tuple[Fraction, ...]:
     """Exact moment value at a torus fixed point, from isotropy weights only.
 
     At the fixed point with only the given homogeneous coordinate nonzero
@@ -81,9 +69,7 @@ def fixed_point_delta(m: int, fixed_point_index: int) -> DeltaValue:
         if r > 0:
             w[r - 1] -= 1
         weights.append(w)
-    return DeltaValue(
-        tuple(-sum((w[j] for w in weights), Fraction(0)) for j in range(m))
-    )
+    return tuple(-sum((w[j] for w in weights), Fraction(0)) for j in range(m))
 
 
 def random_points(m: int, count: int, seed: int = 0) -> list[SamplePoint]:

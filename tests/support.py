@@ -6,6 +6,7 @@ from fractions import Fraction
 
 from fanotoric import (
     Fan,
+    FanoVerdict,
     FlagManifold,
     Painting,
     SimpleType,
@@ -71,3 +72,14 @@ def del_pezzo_blowup_fan() -> Fan:
         rays=((1, 0), (0, 1), (-1, -1), (1, 1)),
         max_cones=((0, 3), (1, 3), (1, 2), (0, 2)),
     )
+
+
+def margin_entries(flag: FlagManifold, verdict: FanoVerdict):
+    """Each cell of verdict.margins as (vertex_index, root, value).
+
+    Row i of the table is polytope vertex i and column j is flag.r_m_plus[j];
+    a row of any other length fails the strict zip.
+    """
+    for vi, row in enumerate(verdict.margins):
+        for root, value in zip(flag.r_m_plus, row, strict=True):
+            yield vi, root, value

@@ -165,6 +165,32 @@ def test_degenerate_cone_fan_exits_2_without_traceback(capsys, tmp_path):
     )
 
 
+def _config(name):
+    return cli.Config(json.loads((CONFIGS / f"{name}.json").read_text(encoding="utf-8")))
+
+
+@pytest.mark.parametrize("name", ["hirzebruch_n2", "so16"])
+def test_margin_table_has_a_row_per_vertex_and_a_column_per_root(name):
+    cfg = _config(name)
+    flag = cli._build_flag(cfg)
+    fan = cli._build_fan(cfg.fiber_spec, "fiber")
+    verdict = cli.fano_check(flag, fan, cli._build_tau(cfg))
+    assert len(verdict.margins) == len(verdict.fiber.polytope.vertices) > 0
+    assert all(len(row) == len(flag.r_m_plus) for row in verdict.margins)
+
+
+@pytest.mark.parametrize("name", ["hirzebruch_n2", "so16"])
+def test_check_report_shares_one_list_per_root_and_per_vertex(name):
+    # _json_text writes a shared list once; copies would only cost time.
+    report = cli.cmd_check(_config(name), False)
+    vertices = report["fiber"]["polytope_vertices"]
+    roots = {}
+    for entry in report["margins"]:
+        assert entry["vertex"] is vertices[entry["vertex_index"]]
+        assert roots.setdefault(tuple(entry["root"]), entry["root"]) is entry["root"]
+    assert len(roots) == report["flag"]["r_m_plus_count"]
+
+
 def test_check_f2_bundle_not_fano(capsys):
     report = run_json(capsys, "check", str(CONFIGS / "f2_bundle.json"))
     assert report["verdict"]["fiber_fano"] is False

@@ -44,14 +44,16 @@ def test_hirzebruch_pullback_values():
         # The one root of A1 reads h_Q itself at each vertex of [-1, 1].
         verdict = fano_check(flag, fan, tau)
         vertices = verdict.fiber.polytope.vertices
-        at = {vertices[e.vertex_index]: e.value for e in verdict.margins}
+        entries = support.margin_entries(flag, verdict)
+        at = {vertices[vi]: value for vi, _, value in entries}
         assert at == {(F(1),): plus.coords[0], (F(-1),): minus.coords[0]}
 
 
 def test_hirzebruch_margins_n1():
     flag = support.hirzebruch_flag()
     verdict = fano_check(flag, projective_space(1), support.hirzebruch_tau(1))
-    assert sorted(e.value for e in verdict.margins) == [F(1, 4), F(3, 4)]
+    values = sorted(value for _, _, value in support.margin_entries(flag, verdict))
+    assert values == [F(1, 4), F(3, 4)]
     assert verdict.is_fano
 
 
@@ -62,7 +64,7 @@ def test_hirzebruch_family_window():
         verdict = fano_check(flag, fan, support.hirzebruch_tau(n))
         assert verdict.is_fano == (n < 2)
     v2 = fano_check(flag, fan, support.hirzebruch_tau(2))
-    assert any(e.value == 0 for e in v2.margins)
+    assert any(value == 0 for _, _, value in support.margin_entries(flag, v2))
     assert not v2.is_fano
 
 
@@ -82,8 +84,8 @@ def test_margins_at_origin_equal_chamber_margins():
     vertices = verdict.fiber.polytope.vertices
     assert [sum(c) for c in zip(*vertices)] == [0, 0]
     totals = {}
-    for e in verdict.margins:
-        totals[e.root] = totals.get(e.root, 0) + e.value
+    for _, root, value in support.margin_entries(flag, verdict):
+        totals[root] = totals.get(root, 0) + value
     mean = tuple((root, totals[root] / len(vertices)) for root in flag.r_m_plus)
     assert mean == chamber_margins(flag, flag.h_V)
 
@@ -98,10 +100,14 @@ def test_so4n_family_window():
 def test_so4n_n4_exact_zero_margins_at_first_vertex():
     flag, tau = support.so4n_flag_tau(4)
     verdict = fano_check(flag, projective_space(2), tau)
-    zeros = [e for e in verdict.margins if e.vertex_index == 0 and e.value == 0]
+    zeros = [
+        root
+        for vi, root, value in support.margin_entries(flag, verdict)
+        if vi == 0 and value == 0
+    ]
     assert len(zeros) == 6  # the C(4,2) sum roots of one orthogonal block
-    for e in zeros:
-        mapped = oracles.coeffs_to_e("D", 8, e.root)
+    for root in zeros:
+        mapped = oracles.coeffs_to_e("D", 8, root)
         assert sorted(mapped) == [0, 0, 0, 0, 0, 0, 1, 1]
         block = [k for k, c in enumerate(mapped) if c]
         assert all(k >= 4 for k in block) or all(k < 4 for k in block)
@@ -113,9 +119,10 @@ def test_so20_q_o_margin_value():
     # the table is (2n-9)/(4(2n-1)) = 1/36.
     flag, tau = support.so4n_flag_tau(5)
     verdict = fano_check(flag, projective_space(2), tau)
-    at_q_o = [e.value for e in verdict.margins if e.vertex_index == 0]
+    entries = list(support.margin_entries(flag, verdict))
+    at_q_o = [value for vi, _, value in entries if vi == 0]
     assert min(at_q_o) == F(1, 18)
-    assert min(e.value for e in verdict.margins) == F(1, 36)
+    assert min(value for _, _, value in entries) == F(1, 36)
     assert verdict.is_fano
 
 
@@ -141,7 +148,8 @@ def test_degenerate_tau_is_classified_not_rejected():
     verdict = fano_check(flag, projective_space(1), tau)
     assert not verdict.surjective
     assert verdict.is_fano
-    assert all(e.value == F(1, 2) for e in verdict.margins)
+    entries = support.margin_entries(flag, verdict)
+    assert all(value == F(1, 2) for _, _, value in entries)
 
 
 def _random_invertible(rng, k):
@@ -183,10 +191,10 @@ def test_basis_change_invariance():
 def test_vertex_sufficiency_under_convex_combinations():
     flag, tau = support.so4n_flag_tau(5)
     poly = canonical_polytope(projective_space(2))
-    margins = fano_check(flag, projective_space(2), tau).margins
+    verdict = fano_check(flag, projective_space(2), tau)
     per_root_min = {}
-    for e in margins:
-        per_root_min[e.root] = min(per_root_min.get(e.root, e.value), e.value)
+    for _, root, value in support.margin_entries(flag, verdict):
+        per_root_min[root] = min(per_root_min.get(root, value), value)
     rng = random.Random(7)
     for _ in range(25):
         weights = [F(rng.randint(0, 8)) for _ in poly.vertices]
@@ -235,9 +243,11 @@ def test_diagram_automorphism_equivariance_d_type_swap():
     base = fano_check(flag, fan, TauMap(matrix))
     image = fano_check(flag, fan, TauMap(swapped))
     assert base.is_fano == image.is_fano
+    base_entries = list(support.margin_entries(flag, base))
+    image_entries = list(support.margin_entries(flag, image))
     for vi in range(len(fan.max_cones)):
-        b = sorted(e.value for e in base.margins if e.vertex_index == vi)
-        i = sorted(e.value for e in image.margins if e.vertex_index == vi)
+        b = sorted(value for v, _, value in base_entries if v == vi)
+        i = sorted(value for v, _, value in image_entries if v == vi)
         assert b == i
 
 
@@ -541,10 +551,12 @@ def test_pullback_against_killing_form_oracle(base, data):
             pulled = sum((q[i] * tau.matrix[i][j] for i in range(m)), F(0))
             assert oracles.killing_form(rs, shift, b) == pulled
     vertices = tuple(tuple(q) for q in points)
-    entries = fanobundle._table(flag, verdict._pull, vertices)
-    assert len(entries) == len(vertices) * len(flag.r_m_plus)
-    for e in entries:
-        assert e.value == oracles.pair(e.root, pulled_back[vertices[e.vertex_index]])
+    table = fanobundle._table(flag, verdict._pull, vertices)
+    assert len(table) == len(vertices)
+    for q, row in zip(vertices, table):
+        assert len(row) == len(flag.r_m_plus)
+        for root, value in zip(flag.r_m_plus, row):
+            assert value == oracles.pair(root, pulled_back[q])
     # Integrality against tau c, for the drawn coefficients c of each
     # generator over the declared basis.
     k = len(basis)
@@ -579,8 +591,8 @@ def _boundary_scale(flag, tau, fan):
     """
     at_h_v = dict(chamber_margins(flag, flag.h_V))
     moves = [
-        (at_h_v[e.root], e.value - at_h_v[e.root])
-        for e in fano_check(flag, fan, tau).margins
+        (at_h_v[root], value - at_h_v[root])
+        for _, root, value in support.margin_entries(flag, fano_check(flag, fan, tau))
     ]
     ahead = [base / -d for base, d in moves if d < 0]
     behind = [base / d for base, d in moves if d > 0]
@@ -601,9 +613,10 @@ def test_reduced_verdict_equals_full_table(base, fiber, data):
         if on_boundary:
             tau = tau.scaled(scale)
     v = fano_check(flag, fan, tau)
+    values = [value for _, _, value in support.margin_entries(flag, v)]
     if on_boundary:
-        assert min(e.value for e in v.margins) == 0
-    assert v.is_fano == (v.fiber.fano and all(e.value > 0 for e in v.margins))
+        assert min(values) == 0
+    assert v.is_fano == (v.fiber.fano and all(value > 0 for value in values))
 
 
 @settings(deadline=None, max_examples=60)
@@ -619,8 +632,8 @@ def test_verdict_margins_pair_each_root_at_each_pullback_point(base, fiber, data
         for vi, q in enumerate(polytope.vertices)
         for root in flag.r_m_plus
     ]
-    entries = fano_check(flag, fan, tau).margins
-    assert [(e.vertex_index, e.root, e.value) for e in entries] == expected
+    verdict = fano_check(flag, fan, tau)
+    assert list(support.margin_entries(flag, verdict)) == expected
 
 
 @settings(deadline=None, max_examples=60)

@@ -14,7 +14,6 @@ PUBLIC = [
     "FanoVerdict",
     "FlagManifold",
     "InputError",
-    "MarginEntry",
     "Painting",
     "Polytope",
     "RootSystem",
@@ -36,7 +35,7 @@ PUBLIC = [
 
 
 def test_all_lists_exactly_the_public_names_and_each_resolves():
-    assert len(PUBLIC) == 24
+    assert len(PUBLIC) == 23
     assert sorted(fanotoric.__all__) == PUBLIC
     for name in PUBLIC:
         assert getattr(fanotoric, name) is not None, name
@@ -70,7 +69,6 @@ RECORD_FIELDS = {
     "FanDiagnostics": ["smooth", "complete", "non_unimodular_cones", "fano", "polytope"],
     "Polytope": ["dim", "vertices"],
     "FanoVerdict": ["is_fano", "fiber", "_flag", "_pull"],
-    "MarginEntry": ["vertex_index", "root", "value"],
 }
 
 
